@@ -50,6 +50,11 @@ _M_CAP = 200_000
 _SERIES_SWITCH = 1.0e-3
 _SERIES_TERMS = 12  # powers z^3 .. z^14
 
+# Longest power series of the force laws the lattice force uses, and the
+# dropped-term bound relative to the linear force it must reach.
+_FORCE_SERIES_MAX = 12
+_SERIES_TOL = 2.0 ** -53
+
 
 def _zero_psi(m, eta):
     return np.zeros_like(np.asarray(eta, dtype=float))
@@ -256,8 +261,12 @@ class LatticeModel:
         produces.
         """
         eta = np.asarray(eta, dtype=float)
-        scalar = eta.ndim == 0 and np.ndim(m) == 0
         self._check_domain(m, eta)
+        return self._remainder(m, eta)
+
+    def _remainder(self, m, eta):
+        # psi_m'(eta) without the domain check
+        scalar = eta.ndim == 0 and np.ndim(m) == 0
         if self.family == "calogero_moser":
             out = _cm_psi_prime(self.a, m, np.atleast_1d(eta))
         else:
@@ -289,7 +298,10 @@ class LatticeModel:
         return out
 
     def force_term(self, m, eta):
-        """Phi_m'(r* m + eta) - varsigma_m = alpha eta + beta eta^2 + psi'."""
+        """Phi_m'(r* m + eta) - varsigma_m = alpha eta + beta eta^2 + psi'.
+
+        Does not check the domain |eta| <= m delta_star; the caller does.
+        """
         eta = np.asarray(eta, dtype=float)
         if self.family == "calogero_moser":
             a = self.a
@@ -300,7 +312,7 @@ class LatticeModel:
             idx = np.asarray(m, dtype=int) - 1
             al = self.alpha[idx]
             be = self.beta[idx]
-        return al * eta + be * eta * eta + self.psi_prime(m, eta)
+        return al * eta + be * eta * eta + self._remainder(m, eta)
 
     def pair_energy(self, m, eta):
         """Phi_m(r* m + eta) - Phi_m(r* m), the gauge-fixed bond energy."""
@@ -326,6 +338,78 @@ class LatticeModel:
         for ti, wi in zip(t, w):
             acc = acc + wi * self.psi_prime(m, eta * ti)
         return acc * eta
+
+    # -- power-series form of the force laws -------------------------------
+
+    def force_series(self, n_terms, m):
+        """Coefficients c_{n,m} of ``force_term(m, eta) = sum_n c_{n,m} eta^n``.
+
+        Row ``n - 1`` holds c_{n,m} for n = 1..n_terms over the 1-d array
+        ``m``; c_1 = alpha and c_2 = beta.  The table families are
+        polynomials of degree 2; the power law continues with the Taylor
+        coefficients c_{n,m} = -a binom(-a-1, n) m^(-a-1-n) that
+        ``psi_prime`` sums.  None when some psi' is a user callable, which
+        has no series form.
+        """
+        m = np.asarray(m, dtype=float)
+        if self.family == "calogero_moser":
+            a = self.a
+            n = np.arange(1, n_terms + 1)[:, None]
+            binom = _binom_series_coeffs(-a - 1.0, 1, n_terms)[:, None]
+            return -a * binom * m ** (-a - 1.0 - n)
+        if any(fn is not None for fn in self._psi_prime):
+            return None
+        idx = m.astype(int) - 1
+        out = np.zeros((n_terms, m.size))
+        out[0] = self.alpha[idx]
+        if n_terms > 1:
+            out[1] = self.beta[idx]
+        return out
+
+    def series_length(self, rho):
+        """Terms of ``force_series`` needed on |eta| <= m rho, or None.
+
+        Returns ``(N, tail)`` with N the least length whose dropped terms obey
+        ``sum_{n>N} |c_{n,m}| (m rho)^n <= tail |alpha_m| m rho`` for every m
+        with ``tail <= 2^-53``: the truncation sits below rounding of the
+        linear force.  The table polynomials need N = 2 with tail 0.  None
+        when there is no series or the power law would need more than
+        ``_FORCE_SERIES_MAX`` terms (rho past about 0.03 at a = 4).
+        """
+        if self.family != "calogero_moser":
+            if any(fn is not None for fn in self._psi_prime):
+                return None
+            return 2, 0.0
+        # |c_{n,m}| (m rho)^n / (alpha_m m rho) = t_n = binom(a+n, n) rho^(n-1) / (a+1)
+        # for every m; t_{n+1} / t_n = rho (a+n+1)/(n+1) falls with n, so
+        # the geometric series at the first dropped ratio bounds the tail
+        a = self.a
+        t = 1.0  # t_1
+        for N in range(1, _FORCE_SERIES_MAX + 1):
+            t *= rho * (a + N + 1.0) / (N + 1.0)  # t_{N+1}
+            ratio = rho * (a + N + 2.0) / (N + 2.0)
+            if ratio < 1.0 and t / (1.0 - ratio) <= _SERIES_TOL:
+                return N, t / (1.0 - ratio)
+        return None
+
+    def range_tail_bound(self, m_cut, rho):
+        """Bound on the force one site gets from all ranges m > m_cut.
+
+        Each bond beyond the cut has |eta| <= m rho (a sum of m strains of
+        size <= rho <= delta_star), so with the remainder bound
+        |psi_m'| <= gamma_m |eta|^3 both one-sided terms are at most
+        |alpha_m| m rho + |beta_m| (m rho)^2 + gamma_m (m rho)^3.  The
+        arrays cover m <= M and the tail bounds of the weighted sums the
+        rest (m^k <= m^(k+1) for m >= 1).
+        """
+        m = np.arange(m_cut + 1, self.M + 1, dtype=float)
+        x = m * rho
+        body = float(np.sum(np.abs(self.alpha[m_cut:]) * x
+                            + np.abs(self.beta[m_cut:]) * x ** 2
+                            + self.gamma[m_cut:] * x ** 3))
+        tail = (self.tail_alpha_m2 * rho + self.tail_beta_m3 * rho ** 2
+                + self.tail_gamma_m4 * rho ** 3)
+        return 2.0 * (body + tail)
 
 
 # -- power-law remainder kernels -------------------------------------------

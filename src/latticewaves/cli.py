@@ -54,24 +54,22 @@ def _build_from_config(cp):
     sec = cp["model"]
     family = sec.get("family", "calogero_moser").strip()
     trunc_tol = sec.getfloat("trunc_tol", fallback=1e-8)
+    # without the key each family keeps its PotentialSpec default radius
+    radius = {"delta_star": sec.getfloat("delta_star")} if "delta_star" in sec else {}
     if family == "calogero_moser":
-        spec = PotentialSpec.calogero_moser(
-            sec.getfloat("a"), delta_star=sec.getfloat("delta_star", fallback=0.5))
+        spec = PotentialSpec.calogero_moser(sec.getfloat("a"), **radius)
     elif family == "nnn":
         spec = PotentialSpec.nnn(
             sec.getfloat("g"), beta1=sec.getfloat("beta1", fallback=1.0),
-            beta2=sec.getfloat("beta2", fallback=0.0),
-            delta_star=sec.getfloat("delta_star", fallback=1.0))
+            beta2=sec.getfloat("beta2", fallback=0.0), **radius)
     elif family == "classical_fput":
         spec = PotentialSpec.classical_fput(
             alpha1=sec.getfloat("alpha1", fallback=1.0),
-            beta1=sec.getfloat("beta1", fallback=1.0),
-            delta_star=sec.getfloat("delta_star", fallback=1.0))
+            beta1=sec.getfloat("beta1", fallback=1.0), **radius)
     elif family == "finite_range":
         alphas = [float(v) for v in sec.get("alphas").split(",")]
         betas = [float(v) for v in sec.get("betas").split(",")]
-        spec = PotentialSpec.finite_range(
-            alphas, betas, delta_star=sec.getfloat("delta_star", fallback=1.0))
+        spec = PotentialSpec.finite_range(alphas, betas, **radius)
     else:
         raise LatticeWaveError(f"unknown family '{family}'")
     return build_model(spec, trunc_tol=trunc_tol)

@@ -331,12 +331,8 @@ class LongWaveOperators:
 
         op = LinearOperator((grid.N, grid.N), matvec=matvec, dtype=float)
         x0v = None if x0 is None else project_even(x0).values
-        try:
-            x, _ = gmres(op, b_vec, x0=x0v, rtol=rtol, atol=0.0,
-                         restart=restart, maxiter=max(1, maxiter // restart))
-        except TypeError:  # scipy < 1.12 spells the tolerance differently
-            x, _ = gmres(op, b_vec, x0=x0v, tol=rtol, atol=0.0,
-                         restart=restart, maxiter=max(1, maxiter // restart))
+        x, _ = gmres(op, b_vec, x0=x0v, rtol=rtol, atol=0.0,
+                     restart=restart, maxiter=max(1, maxiter // restart))
         res = float(np.linalg.norm(matvec(x) - b_vec)) / bnorm
         if res <= 1e-11:
             return project_even(Field(grid, x))

@@ -17,6 +17,30 @@ on a ring.  A linear ramp carrying the total jump is subtracted so the
 strain picks up a uniform background of -eps * integral(W) / J per bond and
 the seam lands at the index wrap, three quarters of the ring ahead of the
 wave and far outside the measurement window.
+
+Force range and paths: each particle interacts with its neighbours at
+distances m = 1..m_force on either side (default min(M, 64)), indices
+taken mod J, so on a ring shorter than 2 m_force a neighbour is counted
+once per distance that reaches it.  The domain check is exact and done
+once per call: eta_{j,m} = d_{j+m} - d_j is a sum of m strains, so
+max_j |r_j| <= delta_star is the same condition as |eta_{j,m}| <= m
+delta_star for every bond.  Two paths compute the same sum:
+
+* FFT path.  Each force law is a power series sum_n c_{n,m} eta^n, cut at
+  the N terms ``LatticeModel.series_length`` picks from max|r| (dropped
+  terms below 2^-53 of the linear force).  Expanding eta^n binomially turns
+  every degree into circulant convolutions on the ring, so one call costs
+  2N + 1 FFTs of length J and N(N+1)/2 spectrum products, whatever m_force.
+* Direct path.  Sums g_m(d_{j+m} - d_j) - g_m(d_j - d_{j-m}) over m with
+  shifted copies, O(m_force J).  It runs for m_force <= 4, where it is the
+  faster one, for table families whose psi' is a user callable, and for
+  strains so large that the series would need more than 12 terms.
+
+``total_energy`` takes the same path and series, so the force is the exact
+gradient of the monitored energy.  The report records the paths taken, the
+longest series with its dropped-term bound on |F_j|, the largest strain,
+and ``range_tail_bound``, a bound on |F_j| from the ranges m > m_force that
+the sum leaves out.
 """
 
 import math
@@ -38,6 +62,8 @@ class LatticeState:
     ``d[j] = u_j - r* j`` and ``v[j]`` are mutated in place by the stepper;
     ``m_force`` is the interaction range used by the force sum (independent
     of any spectral truncation so the simulator stands alone as an oracle).
+    ``force`` logs what it did: the paths it took, the longest series and
+    largest dropped-term bound of the FFT path, and the largest strain.
     """
 
     model: object
@@ -48,16 +74,12 @@ class LatticeState:
     m_force: int = 1
     seam_jump: float = 0.0
     center: int = 0
+    force_paths: set = field(default_factory=set)
+    series_terms: int = 0
+    series_bound: float = 0.0
+    strain_max: float = 0.0
     _accel: np.ndarray = field(default=None, repr=False)
-    _idx_plus: np.ndarray = field(default=None, repr=False)
-    _idx_minus: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        j = np.arange(self.J, dtype=np.int64)
-        m = np.arange(1, self.m_force + 1, dtype=np.int64)[:, None]
-        self._idx_plus = (j[None, :] + m) % self.J
-        self._idx_minus = (j[None, :] - m) % self.J
-        self._rows = np.arange(self.m_force)[:, None]
+    _kernels: object = field(default=None, repr=False)
 
     def strain(self):
         """Nearest-neighbour strain r_j = d_{j+1} - d_j."""
@@ -66,7 +88,8 @@ class LatticeState:
     def copy(self):
         return LatticeState(model=self.model, J=self.J, d=self.d.copy(),
                             v=self.v.copy(), t=self.t, m_force=self.m_force,
-                            seam_jump=self.seam_jump, center=self.center)
+                            seam_jump=self.seam_jump, center=self.center,
+                            _kernels=self._kernels)
 
 
 def init_from_wave(sol, J, j_c=None, m_force=None):
@@ -113,27 +136,145 @@ def init_from_wave(sol, J, j_c=None, m_force=None):
     return state
 
 
+# Ranges up to this use the direct sum: it costs O(m_force * J) while the
+# FFT path costs 2N + 1 transforms of length J whatever the range.  At
+# J = 4096 both take about the same time at m_force = 4-5, for the a = 4
+# wave (N = 6) as for a six-neighbour table (N = 2).
+_DIRECT_MAX_RANGE = 4
+
+
+class _RingKernels:
+    """Fourier multipliers of the force series on one ring, built lazily.
+
+    Folding c_{n,m} for m <= m_force by ``m mod J`` gives the kernel K_n;
+    degree n acts on a field through ``theta_n = 2 (sum_m c_{n,m} - Re K_n^)``
+    for odd n and ``i sigma_n = -2i Im K_n^`` for even n.  ``mult[p][k-1]``
+    carries the binomial weight binom(p+k, k) (-1)^k of the term
+    d^p (K_{p+k} * d^k).  The linear force acts on the strain instead,
+    ``sum_m alpha_m (eta_{j,m} - eta_{j-m,m})`` with eta_{j,m} the sum of
+    r_j .. r_{j+m-1}: its multiplier ``linear`` on r^ equals -theta(kappa) on
+    d^ but rounds relative to the strain, not to the much larger
+    displacement.
+    """
+
+    def __init__(self, model, J, m_force):
+        self.model, self.J = model, J
+        self.m = np.arange(1, m_force + 1, dtype=float)
+        alpha = model.force_series(1, self.m)[0]
+        # |alpha_m| m rho summed over both sides bounds the linear force
+        self.linear_scale = 2.0 * float(np.sum(np.abs(alpha) * self.m))
+        # offset l >= 0 carries sum_{m>l} alpha_m, offset -i carries
+        # -sum_{m>=i} alpha_m
+        tail = np.cumsum(alpha[::-1])[::-1]
+        offsets = np.concatenate([np.arange(m_force), -np.arange(1, m_force + 1)])
+        kernel = np.bincount(offsets % J, weights=np.concatenate([tail, -tail]),
+                             minlength=J)
+        self.linear = np.conj(np.fft.rfft(kernel))
+        self.mult = []
+
+    def weights(self, n_terms):
+        if len(self.mult) < n_terms:
+            coeffs = self.model.force_series(n_terms, self.m)
+            fold = self.m.astype(np.int64) % self.J
+            g = [np.zeros(self.J // 2 + 1)]  # degree 1 goes through ``linear``
+            for n in range(2, n_terms + 1):
+                kh = np.fft.rfft(np.bincount(fold, weights=coeffs[n - 1], minlength=self.J))
+                g.append(2.0 * (np.sum(coeffs[n - 1]) - kh.real) if n % 2 else -2j * kh.imag)
+            self.mult = [np.array([math.comb(p + k, k) * (-1) ** k * g[p + k - 1]
+                                   for k in range(1, n_terms - p + 1)])
+                         for p in range(n_terms)]
+        return self.mult
+
+
+def _check_domain(state, r):
+    """max_j |r_j|, raising DomainError when it passes delta_star.
+
+    eta_{j,m} = d_{j+m} - d_j sums m strains and row m = 1 is r itself, so
+    this single check is exactly |eta_{j,m}| <= m delta_star for all j, m.
+    """
+    size = np.abs(r)
+    rho = float(np.max(size))
+    lim = state.model.delta_star
+    if rho > lim:
+        j = int(np.argmax(size > lim))
+        raise DomainError(
+            f"strain out of potential domain at site j={j}, "
+            f"range m=1: |eta|={size[j]:.3e} > {lim:.3e}")
+    return rho
+
+
+def _series_terms(state, rho):
+    """Series length N for the FFT path, or None for the direct path."""
+    if state.m_force <= _DIRECT_MAX_RANGE:
+        return None
+    fit = state.model.series_length(rho)
+    kern = state._kernels
+    if fit is not None and (kern is None or kern.model is not state.model
+                            or kern.J != state.J or kern.m.size != state.m_force):
+        state._kernels = _RingKernels(state.model, state.J, state.m_force)
+    return fit
+
+
+def _power_hats(state, n_terms):
+    """Centred displacement x and the transforms of x^1 .. x^n_terms.
+
+    Every eta is a difference of displacements, so a constant shift is
+    free; centring keeps the binomial terms x^(n-k) x^k small."""
+    x = state.d - 0.5 * (np.max(state.d) + np.min(state.d))
+    hats = np.empty((n_terms, state.J // 2 + 1), dtype=complex)
+    xp = x
+    for k in range(n_terms):
+        hats[k] = np.fft.rfft(xp)
+        xp = xp * x
+    return x, hats
+
+
+def _fft_force(state, r, n_terms):
+    # F = sum_n sum_k binom(n,k) (-1)^k x^(n-k) (K_n * x^k), Horner in x^p
+    kern = state._kernels
+    mult = kern.weights(n_terms)
+    x, hats = _power_hats(state, n_terms)
+    out = np.zeros(state.J)
+    for p in range(n_terms - 1, -1, -1):
+        acc = np.sum(mult[p][:n_terms - p] * hats[:n_terms - p], axis=0)
+        if p == 0:
+            acc += kern.linear * np.fft.rfft(r)
+        out = out * x + np.fft.irfft(acc, n=state.J)
+    return out
+
+
+def _direct_force(state):
+    d, model = state.d, state.model
+    out = np.zeros(state.J)
+    for m in range(1, state.m_force + 1):
+        g = model.force_term(m, np.roll(d, -m) - d)
+        # the left-sided term g_m(d_j - d_{j-m}) is g_m evaluated at j - m
+        out += g - np.roll(g, m)
+    return out
+
+
 def force(state):
-    """Newtonian force on every particle, vectorized over sites and ranges.
+    """Newtonian force on every particle.
 
     Each force law is evaluated through its expansion
     ``alpha eta + beta eta^2 + psi'(eta)`` (the constant term cancels
-    between the two one-sided contributions).
+    between the two one-sided contributions).  Ranges past
+    ``_DIRECT_MAX_RANGE`` whose model has a power series take the FFT path
+    at the series length ``series_length`` picks; the rest sum directly.
     """
-    d = state.d
-    m_col = np.arange(1, state.m_force + 1, dtype=float)[:, None]
-    eta_p = d[state._idx_plus] - d[None, :]
-    lim = m_col * state.model.delta_star
-    bad = np.abs(eta_p) > lim
-    if np.any(bad):
-        mi, ji = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise DomainError(
-            f"strain out of potential domain at site j={ji}, "
-            f"range m={mi + 1}: |eta|={abs(eta_p[mi, ji]):.3e} > "
-            f"{lim[mi, 0]:.3e}")
-    g = state.model.force_term(m_col, eta_p)
-    # the left-sided term g_m(d_j - d_{j-m}) is g_m evaluated at j - m
-    return np.sum(g - g[state._rows, state._idx_minus], axis=0)
+    r = state.strain()
+    rho = _check_domain(state, r)
+    state.strain_max = max(state.strain_max, rho)
+    fit = _series_terms(state, rho)
+    if fit is None:
+        state.force_paths.add("direct")
+        return _direct_force(state)
+    n_terms, tail = fit
+    state.force_paths.add("fft")
+    state.series_terms = max(state.series_terms, n_terms)
+    state.series_bound = max(state.series_bound,
+                             tail * rho * state._kernels.linear_scale)
+    return _fft_force(state, r, n_terms)
 
 
 def step_verlet(state, dt):
@@ -150,12 +291,36 @@ def step_verlet(state, dt):
 
 
 def total_energy(state):
-    """Kinetic plus pairwise potential energy, gauged to 0 at equilibrium."""
+    """Kinetic plus pairwise potential energy, gauged to 0 at equilibrium.
+
+    Uses the same path and series as ``force`` so that the force is the
+    exact gradient of this energy.  On the FFT path each degree is summed by
+    Parseval; degree 2 is ``(1/2J) sum_q theta(kappa_q) |d^_q|^2``.
+    """
     kinetic = 0.5 * float(np.sum(state.v ** 2))
-    m_col = np.arange(1, state.m_force + 1, dtype=float)[:, None]
-    eta_p = state.d[state._idx_plus] - state.d[None, :]
-    potential = float(np.sum(state.model.pair_energy(m_col, eta_p)))
-    return kinetic + potential
+    r = state.strain()
+    fit = _series_terms(state, float(np.max(np.abs(r))))
+    if fit is None:
+        d = state.d
+        potential = sum(float(np.sum(state.model.pair_energy(m, np.roll(d, -m) - d)))
+                        for m in range(1, state.m_force + 1))
+        return kinetic + potential
+    n_terms = fit[0]
+    mult = state._kernels.weights(n_terms)
+    _, hats = _power_hats(state, n_terms + 1)
+    # real-field Parseval over the half spectrum: interior modes count twice
+    w = np.full(state.J // 2 + 1, 2.0 / state.J)
+    w[0] = 1.0 / state.J
+    if state.J % 2 == 0:
+        w[-1] = 1.0 / state.J
+    # degree n+1 of the energy is -<x, F_n>/(n+1) (Euler's relation)
+    linear = state._kernels.linear * np.fft.rfft(r)
+    potential = -0.5 * np.sum(w * (np.conj(hats[0]) * linear).real)
+    for p in range(n_terms):
+        for k in range(1, n_terms - p + 1):
+            inner = np.sum(w * (np.conj(hats[p]) * mult[p][k - 1] * hats[k - 1]).real)
+            potential -= inner / (p + k + 1)
+    return kinetic + float(potential)
 
 
 def _peak_position(values):
@@ -183,6 +348,11 @@ class VerificationReport:
     steps: int
     early_stopped: bool
     trajectory: tuple  # rows (t, peak_position, peak_value, energy)
+    force_path: str         # "direct", "fft" or "direct+fft" over the run
+    series_terms: int       # longest force series of the FFT path (0: unused)
+    series_bound: float     # bound on |F_j| from the dropped series terms
+    range_tail_bound: float  # bound on |F_j| from ranges m > m_force
+    strain_max: float       # largest max_j |r_j| the force saw
 
     def passed(self, speed_tol=0.01, shape_tol=0.05, drift_tol=1e-6):
         return (self.speed_rel_error <= speed_tol
@@ -199,6 +369,11 @@ class VerificationReport:
             "T": self.T, "dt": self.dt, "J": self.J,
             "m_force": self.m_force, "steps": self.steps,
             "early_stopped": self.early_stopped,
+            "force_path": self.force_path,
+            "series_terms": self.series_terms,
+            "series_bound": self.series_bound,
+            "range_tail_bound": self.range_tail_bound,
+            "strain_max": self.strain_max,
         }
 
 
@@ -272,4 +447,8 @@ def run_and_verify(sol, J, T, dt=None, j_c=None, m_force=None,
         shape_error_max=shape_err, energy_drift=drift,
         T=state.t, dt=dt, J=J, m_force=state.m_force, steps=steps,
         early_stopped=early, trajectory=tuple(trajectory),
+        force_path="+".join(sorted(state.force_paths)),
+        series_terms=state.series_terms, series_bound=state.series_bound,
+        range_tail_bound=ctx.model.range_tail_bound(state.m_force, state.strain_max),
+        strain_max=state.strain_max,
     )

@@ -1,10 +1,12 @@
 """Command-line pipeline: exit codes, artifacts, provenance, determinism."""
 
+import configparser
 import json
 
 import pytest
 
-from latticewaves.cli import main
+import latticewaves as lw
+from latticewaves.cli import _build_from_config, main
 
 NNN_CONFIG = """\
 [model]
@@ -135,3 +137,11 @@ def test_cm_config(tmp_path):
     cert = json.loads((tmp_path / "cm_out" / "certificate.json").read_text())
     assert cert["type1"] is True
     assert cert["sigma"] == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("a", [3.5, 4.0])
+def test_cm_default_radius_matches_library(a):
+    cp = configparser.ConfigParser()
+    cp.read_string(f"[model]\nfamily = calogero_moser\na = {a}\n")
+    model = _build_from_config(cp)
+    assert model.delta_star == lw.PotentialSpec.calogero_moser(a).delta_star

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import latticewaves as lw
+from latticewaves import simulator
 from latticewaves.simulator import LatticeState
 from latticewaves.spectral import evaluate, mean_value
 
@@ -208,3 +209,127 @@ class TestRunAndVerify:
         assert len(rep.trajectory) >= 10
         t, pos, peak, energy = rep.trajectory[0]
         assert t == 0.0 and math.isfinite(pos + peak + energy)
+
+
+def _gather_force(state):
+    """Reference force: every bond (m, j) gathered into one m_force x J array."""
+    j = np.arange(state.J)
+    m = np.arange(1, state.m_force + 1)[:, None]
+    g = state.model.force_term(m.astype(float), state.d[(j + m) % state.J] - state.d)
+    return np.sum(g - g[m - 1, (j - m) % state.J], axis=0)
+
+
+def _gather_energy(state):
+    j = np.arange(state.J)
+    m = np.arange(1, state.m_force + 1)[:, None]
+    eta = state.d[(j + m) % state.J] - state.d
+    return (0.5 * float(np.sum(state.v ** 2))
+            + float(np.sum(state.model.pair_energy(m.astype(float), eta))))
+
+
+def _cubic_table():
+    # a finite-range family whose remainders are user callables
+    return lw.build_model(lw.PotentialSpec.finite_range(
+        [1.0, 0.4, 0.1], [1.0, -0.3, 0.05], gamma=[0.5, 0.2, 0.1],
+        psi_prime=[lambda e: 0.5 * e ** 3, lambda e: -0.2 * e ** 3,
+                   lambda e: 0.1 * e ** 3]))
+
+
+@pytest.fixture(params=["direct", "fft"])
+def force_path(request, monkeypatch):
+    """Run force and total_energy on one path whatever the range."""
+    limit = 10 ** 9 if request.param == "direct" else 0
+    monkeypatch.setattr(simulator, "_DIRECT_MAX_RANGE", limit)
+    return request.param
+
+
+def _wave_like_state(model, J, m_force, rng):
+    j = np.arange(J)
+    d = (0.05 * np.sin(2.0 * np.pi * j / J) + 0.01 * np.cos(6.0 * np.pi * j / J + 1.0)
+         + 0.002 * rng.standard_normal(J))
+    return LatticeState(model=model, J=J, d=d, v=0.01 * rng.standard_normal(J),
+                        m_force=m_force)
+
+
+class TestForcePaths:
+    @pytest.mark.parametrize("model_name, m_force", [
+        ("cm4", 1), ("cm4", 8), ("cm4", 64), ("cm4", 200),
+        ("cm35", 64), ("nnn1", 2), ("cubic_table", 3)])
+    def test_against_gather(self, request, force_path, model_name, m_force, rng):
+        model = (_cubic_table() if model_name == "cubic_table"
+                 else request.getfixturevalue(model_name))
+        st = _wave_like_state(model, 256, m_force, rng)
+        ref = _gather_force(st)
+        f = lw.force(st)
+        assert np.max(np.abs(f - ref)) <= 1e-11 * np.max(np.abs(ref))
+        e_ref = _gather_energy(st)
+        assert abs(lw.total_energy(st) - e_ref) <= 1e-11 * abs(e_ref)
+        # the callables have no series, so they never take the FFT path
+        taken = "direct" if model_name == "cubic_table" else force_path
+        assert st.force_paths == {taken}
+        assert (st.series_terms > 0) == (taken == "fft")
+
+    def test_wrap_beyond_full_ring(self, cm4, rng):
+        # on J = 64, ranges m and m + 64 land on the same neighbour
+        st = _wave_like_state(cm4, 64, 200, rng)
+        ref = _gather_force(st)
+        assert np.max(np.abs(lw.force(st) - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert st.force_paths == {"fft"}
+
+    def test_range_change_rebuilds_kernels(self, cm4, rng):
+        st = _wave_like_state(cm4, 256, 64, rng)
+        lw.force(st)
+        st.m_force = 32
+        ref = _gather_force(st)
+        assert np.max(np.abs(lw.force(st) - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_strain_past_series_cap_takes_direct_path(self, cm4, rng):
+        st = _wave_like_state(cm4, 256, 64, rng)
+        st.d = st.d + 0.05 * (np.arange(256) % 2)  # |r| ~ 0.05: N would pass the cap
+        assert cm4.series_length(float(np.max(np.abs(st.strain())))) is None
+        ref = _gather_force(st)
+        assert np.max(np.abs(lw.force(st) - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert st.force_paths == {"direct"}
+
+    def test_cm4_wave_force_is_minus_energy_gradient(self, sol_cm4, rng):
+        st = lw.init_from_wave(sol_cm4, 4096, m_force=64)
+        f = lw.force(st)
+        assert st.force_paths == {"fft"}
+        h = 1e-6
+        sites = np.concatenate([rng.integers(0, st.J, 10),
+                                st.center + rng.integers(-100, 100, 10)])
+        for j in sites:
+            d0 = st.d[j]
+            st.d[j] = d0 + h
+            ep = lw.total_energy(st)
+            st.d[j] = d0 - h
+            em = lw.total_energy(st)
+            st.d[j] = d0
+            grad = (ep - em) / (2.0 * h)
+            assert -grad == pytest.approx(f[j], rel=1e-6, abs=1e-11)
+
+
+class TestReportBounds:
+    def test_nnn_run_reports_direct_path(self, wave_nnn):
+        rep = lw.run_and_verify(wave_nnn, 1024, 2.0, checkpoints=4)
+        assert rep.force_path == "direct"
+        assert rep.series_terms == 0 and rep.series_bound == 0.0
+        assert rep.range_tail_bound == 0.0  # m_force = M: nothing is cut
+        assert rep.strain_max > 0.0
+
+    def test_cm4_run_reports_series_and_range_cut(self, sol_cm4):
+        rep = lw.run_and_verify(sol_cm4, 4096, 1.0, checkpoints=4)
+        assert rep.force_path == "fft" and rep.m_force == 64
+        assert 1 <= rep.series_terms <= 12
+        force_scale = 2.0 * rep.strain_max * float(np.sum(
+            sol_cm4.ctx.model.alpha[:64] * np.arange(1, 65)))
+        assert 0.0 <= rep.series_bound <= 2.0 ** -53 * force_scale
+        # ranges beyond 64 neighbours bound: 2 sum_{m>64} alpha_m m rho + ...
+        a = 4.0
+        lead = 2.0 * a * (a + 1.0) * rep.strain_max * sum(
+            m ** (-a - 1.0) for m in range(65, 5000))
+        assert lead <= rep.range_tail_bound <= 1.1 * lead + 1e-20
+        d = rep.to_dict()
+        for key in ("force_path", "series_terms", "series_bound",
+                    "range_tail_bound", "strain_max"):
+            assert d[key] == getattr(rep, key)
