@@ -14,17 +14,26 @@ convergent scalar sums that the dispersion analysis and the solvers consume.
 
 Supported families:
 
-* ``classical_fput`` -- nearest-neighbour only.
-* ``finite_range``   -- explicit coefficients for finitely many m.
-* ``nnn``            -- next-nearest neighbour, force laws
-  ``r + beta1 r^2`` and ``g r + beta2 r^2``.
 * ``calogero_moser`` -- power-law potential ``Phi_m(r) = 1/r^a`` with
   exponent ``a > 3`` and ``r* = 1``; the only infinite-range family built in.
-* ``custom``         -- caller-supplied coefficient sequences.
+* ``nnn``            -- next-nearest neighbour, force laws
+  ``r + beta1 r^2`` and ``g r + beta2 r^2``.
+* ``classical_fput`` -- nearest-neighbour only.
+* ``finite_range``   -- explicit coefficients for finitely many m.
+* ``custom``         -- ``finite_range`` with caller-declared tail bounds.
+
+Families differ only in where the coefficients come from, and
+``LatticeModel`` holds one private provider for that: closed forms for
+every m (the power law) or a table whose coefficients are zero beyond M and
+whose psi_m' is a user callable or zero.  ``family`` is only a label.  The
+power law's series (the force law, psi_m' and psi_m'') are cut where the
+dropped terms sum to at most 2^-53 of the first kept term at the largest
+|eta/m| of the call; past 12 terms (|eta/m| beyond about 0.03) the
+remainders use the direct formula.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,20 +53,10 @@ __all__ = [
 # Largest coefficient-array length we are willing to materialize.
 _M_CAP = 200_000
 
-# Relative threshold below which the power-law remainder switches from the
-# direct formula to its Taylor series: the direct form subtracts three nearly
-# equal numbers and loses ~|eta/m|^-3 digits of the O(eta^3) result.
-_SERIES_SWITCH = 1.0e-3
-_SERIES_TERMS = 12  # powers z^3 .. z^14
-
-# Longest power series of the force laws the lattice force uses, and the
-# dropped-term bound relative to the linear force it must reach.
-_FORCE_SERIES_MAX = 12
+# Longest power series of the power law, and the bound on its dropped terms
+# relative to the first kept one.
+_SERIES_MAX = 12
 _SERIES_TOL = 2.0 ** -53
-
-
-def _zero_psi(m, eta):
-    return np.zeros_like(np.asarray(eta, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -114,38 +113,41 @@ class PotentialSpec:
             psi1_second=None, psi2_second=None, delta_star=1.0):
         """Next-nearest-neighbour lattice: Phi1' = r + beta1 r^2,
         Phi2' = g r + beta2 r^2 (plus optional cubic remainders)."""
-        if beta1 == -8.0 * beta2:
-            raise DegeneracyError(
-                "degenerate quadratic coefficient: beta1 = -8 beta2 makes "
-                "sum beta_m m^3 vanish"
-            )
-        return cls(
-            family="nnn", g=float(g),
-            alpha=(1.0, float(g)), beta=(float(beta1), float(beta2)),
-            gamma=(0.0, 0.0), varsigma=(0.0, 0.0),
-            psi_prime=(psi1, psi2), psi_second=(psi1_second, psi2_second),
-            r_star=0.0, delta_star=float(delta_star),
-        )
+        spec = cls.finite_range((1.0, g), (beta1, beta2), psi_prime=(psi1, psi2),
+                                psi_second=(psi1_second, psi2_second),
+                                delta_star=delta_star)
+        return replace(spec, family="nnn", g=float(g))
 
     @classmethod
     def classical_fput(cls, alpha1=1.0, beta1=1.0, psi1=None,
                        psi1_second=None, gamma1=0.0, delta_star=1.0):
         """Nearest-neighbour lattice with force law alpha1 r + beta1 r^2 + psi1."""
-        if beta1 == 0.0:
-            raise DegeneracyError("degenerate quadratic coefficient: beta1 = 0")
-        return cls(
-            family="classical_fput",
-            alpha=(float(alpha1),), beta=(float(beta1),),
-            gamma=(float(gamma1),), varsigma=(0.0,),
-            psi_prime=(psi1,), psi_second=(psi1_second,),
-            r_star=0.0, delta_star=float(delta_star),
-        )
+        spec = cls.finite_range((alpha1,), (beta1,), gamma=(gamma1,), psi_prime=(psi1,),
+                                psi_second=(psi1_second,), delta_star=delta_star)
+        return replace(spec, family="classical_fput")
 
     @classmethod
     def finite_range(cls, alpha, beta, gamma=None, varsigma=None,
                      psi_prime=None, psi_second=None, r_star=0.0,
                      delta_star=1.0):
-        """Explicit finite-range family; sequences indexed by m = 1..len."""
+        """Explicit finite-range family; sequences indexed by m = 1..len.
+
+        Rejects sum beta_m m^3 = 0 (so do ``nnn`` and ``classical_fput``,
+        which are finite ranges of length 2 and 1).
+        """
+        spec = cls.custom(alpha, beta, gamma, varsigma, psi_prime, psi_second,
+                          r_star, delta_star)
+        m = np.arange(1, len(spec.beta) + 1, dtype=float)
+        if float(np.sum(np.asarray(spec.beta) * m ** 3)) == 0.0:
+            raise DegeneracyError("degenerate quadratic coefficient: sum beta_m m^3 = 0")
+        return replace(spec, family="finite_range")
+
+    @classmethod
+    def custom(cls, alpha, beta, gamma, varsigma=None, psi_prime=None,
+               psi_second=None, r_star=0.0, delta_star=1.0,
+               tail_alpha_m2=0.0, tail_beta_m5=0.0, tail_gamma_m4=0.0):
+        """Explicit coefficient sequences with caller-supplied bounds on the
+        coefficient mass beyond them; b = 0 is left for ``b_coefficient``."""
         alpha = tuple(float(v) for v in alpha)
         beta = tuple(float(v) for v in beta)
         n = len(alpha)
@@ -155,25 +157,135 @@ class PotentialSpec:
         varsigma = tuple(float(v) for v in varsigma) if varsigma is not None else (0.0,) * n
         psi_prime = tuple(psi_prime) if psi_prime is not None else (None,) * n
         psi_second = tuple(psi_second) if psi_second is not None else (None,) * n
-        return cls(family="finite_range", alpha=alpha, beta=beta, gamma=gamma,
+        return cls(family="custom", alpha=alpha, beta=beta, gamma=gamma,
                    varsigma=varsigma, psi_prime=psi_prime,
                    psi_second=psi_second, r_star=float(r_star),
-                   delta_star=float(delta_star))
-
-    @classmethod
-    def custom(cls, alpha, beta, gamma, varsigma=None, psi_prime=None,
-               psi_second=None, r_star=0.0, delta_star=1.0,
-               tail_alpha_m2=0.0, tail_beta_m5=0.0, tail_gamma_m4=0.0):
-        """Explicit coefficient sequences with caller-supplied tail bounds."""
-        spec = cls.finite_range(alpha, beta, gamma, varsigma, psi_prime,
-                                psi_second, r_star, delta_star)
-        return cls(family="custom", alpha=spec.alpha, beta=spec.beta,
-                   gamma=spec.gamma, varsigma=spec.varsigma,
-                   psi_prime=spec.psi_prime, psi_second=spec.psi_second,
-                   r_star=spec.r_star, delta_star=spec.delta_star,
+                   delta_star=float(delta_star),
                    tail_alpha_m2=float(tail_alpha_m2),
                    tail_beta_m5=float(tail_beta_m5),
                    tail_gamma_m4=float(tail_gamma_m4))
+
+
+# -- coefficient providers -----------------------------------------------------
+
+@dataclass(frozen=True)
+class _PowerLaw:
+    """Closed forms of Phi_m(r) = 1/r^a about r* = 1, for every m >= 1."""
+
+    a: float
+    infinite_range = True
+
+    def alpha(self, m):
+        a = self.a
+        return a * (a + 1.0) * np.asarray(m, dtype=float) ** (-a - 2.0)
+
+    def beta(self, m):
+        a = self.a
+        return -0.5 * a * (a + 1.0) * (a + 2.0) * np.asarray(m, dtype=float) ** (-a - 3.0)
+
+    def psi_prime(self, m, eta):
+        # -a m^(-a-1) sum_{n>=3} binom(-a-1, n) z^n with z = eta/m
+        a, m = self.a, np.asarray(m, dtype=float)
+        series = _binomial_sum(-a - 1.0, 3, eta / m)
+        if series is None:
+            return (-a * (m + eta) ** (-a - 1.0) + a * m ** (-a - 1.0)
+                    - self.alpha(m) * eta - self.beta(m) * eta * eta)
+        return -a * m ** (-a - 1.0) * series
+
+    def psi_second(self, m, eta):
+        # alpha_m sum_{n>=2} binom(-a-2, n) z^n with z = eta/m
+        a, m = self.a, np.asarray(m, dtype=float)
+        series = _binomial_sum(-a - 2.0, 2, eta / m)
+        if series is None:
+            return (a * (a + 1.0) * (m + eta) ** (-a - 2.0) - self.alpha(m)
+                    - 2.0 * self.beta(m) * eta)
+        return self.alpha(m) * series
+
+    def pair_energy(self, m, eta):
+        # m^-a * ((1 + eta/m)^-a - 1), stable for small strains
+        m = np.asarray(m, dtype=float)
+        return m ** (-self.a) * np.expm1(-self.a * np.log1p(eta / m))
+
+    def series(self, n_terms, m):
+        a = self.a
+        n = np.arange(1, n_terms + 1)[:, None]
+        binom = _binom_series_coeffs(-a - 1.0, 1, n_terms)[:, None]
+        return -a * binom * m ** (-a - 1.0 - n)
+
+    def series_length(self, rho):
+        # the linear term is the first kept one; |eta/m| <= rho on every bond
+        return _series_cut(self.a + 1.0, 1, rho)
+
+
+class _Table:
+    """alpha_m, beta_m, varsigma_m for m = 1..M, zero beyond M; psi_m' and
+    psi_m'' from the caller's callables, zero where there is none."""
+
+    infinite_range = False
+
+    def __init__(self, alpha, beta, varsigma, psi_prime, psi_second):
+        self._alpha, self._beta, self._varsigma = alpha, beta, varsigma
+        self._psi_prime, self._psi_second = psi_prime, psi_second
+        self._callables = any(fn is not None for fn in psi_prime)
+
+    def alpha(self, m):
+        return _lookup(self._alpha, m)
+
+    def beta(self, m):
+        return _lookup(self._beta, m)
+
+    def psi_prime(self, m, eta):
+        return _call_each(self._psi_prime, m, eta)
+
+    def psi_second(self, m, eta):
+        return _call_each(self._psi_second, m, eta)
+
+    def pair_energy(self, m, eta):
+        out = (_lookup(self._varsigma, m) * eta + 0.5 * self.alpha(m) * (eta * eta)
+               + self.beta(m) * (eta * eta * eta) / 3.0)
+        if self._callables:
+            # integral of psi' over [0, eta], 16-node Gauss-Legendre
+            nodes, weights = np.polynomial.legendre.leggauss(16)
+            acc = np.zeros_like(eta)
+            for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+                acc = acc + w * self.psi_prime(m, eta * t)
+            out = out + acc * eta
+        return out
+
+    def series(self, n_terms, m):
+        # polynomials of degree 2; a psi' callable has no series form
+        if self._callables:
+            return None
+        out = np.zeros((n_terms, m.size))
+        out[:2] = [self.alpha(m), self.beta(m)][:n_terms]
+        return out
+
+    def series_length(self, rho):
+        return None if self._callables else (2, 0.0)
+
+
+def _lookup(table, m):
+    """table[m - 1] for m = 1..len(table), zero for any other m."""
+    if np.ndim(m) == 0:
+        return table[int(m) - 1] if 1 <= m <= table.size else 0.0
+    idx = np.asarray(m, dtype=int)
+    inside = (idx >= 1) & (idx <= table.size)
+    return np.where(inside, table[np.where(inside, idx, 1) - 1], 0.0)
+
+
+def _call_each(fns, m, eta):
+    """fns[m - 1](eta) per m, zero where the entry is None or past the end."""
+    if np.ndim(m) == 0:
+        fn = fns[int(m) - 1] if int(m) <= len(fns) else None
+        return fn(eta) if fn is not None else np.zeros_like(eta)
+    m = np.asarray(m)
+    out = np.zeros(np.broadcast_shapes(m.shape, eta.shape))
+    eta_b = np.broadcast_to(eta, out.shape)
+    for i, mi in enumerate(m.ravel()):
+        fn = fns[int(mi) - 1] if int(mi) <= len(fns) else None
+        if fn is not None:
+            out.reshape(m.size, -1)[i] = fn(eta_b.reshape(m.size, -1)[i])
+    return out
 
 
 @dataclass(frozen=True)
@@ -213,12 +325,17 @@ class LatticeModel:
     tail_beta_m3: float
     tail_beta_m5: float
     tail_gamma_m4: float
-    _psi_prime: tuple = field(repr=False, default=())
-    _psi_second: tuple = field(repr=False, default=())
+    _law: object = field(repr=False, compare=False)  # _PowerLaw or _Table
 
     def __post_init__(self):
         for arr in (self.alpha, self.beta, self.gamma, self.varsigma):
             arr.setflags(write=False)
+
+    @property
+    def infinite_range(self):
+        """True when alpha_m, beta_m and the certified sums run over every
+        m (the power law); False for a table that ends at M."""
+        return self._law.infinite_range
 
     # -- coefficient access ------------------------------------------------
 
@@ -226,26 +343,16 @@ class LatticeModel:
         return np.arange(1, self.M + 1, dtype=float)
 
     def alpha_of(self, m):
-        """alpha_m for arbitrary m (beyond M only for the power-law family)."""
-        m = np.asarray(m, dtype=float)
-        if self.family == "calogero_moser":
-            a = self.a
-            return a * (a + 1.0) * m ** (-a - 2.0)
-        out = np.zeros_like(m)
-        idx = (m >= 1) & (m <= self.M)
-        out[idx] = self.alpha[m[idx].astype(int) - 1]
-        return out
+        """alpha_m for arbitrary m (zero beyond M for a table)."""
+        return self._law.alpha(np.asarray(m, dtype=float))
 
     # -- remainder evaluators ----------------------------------------------
 
     def _check_domain(self, m, eta):
-        lim = np.asarray(m, dtype=float) * self.delta_star
-        bad = np.abs(eta) > lim
+        m = np.asarray(m, dtype=float)
+        bad = np.abs(eta) > m * self.delta_star
         if np.any(bad):
-            shape = np.broadcast_shapes(np.shape(m), np.shape(eta))
-            mb = np.broadcast_to(np.asarray(m, dtype=float), shape)
-            badb = np.broadcast_to(bad, shape)
-            m_bad = int(mb.flat[int(np.argmax(badb.ravel()))]) if shape else int(m)
+            m_bad = int(np.broadcast_to(m, bad.shape)[bad][0])
             raise DomainError(
                 f"strain out of expansion domain |eta| <= m*delta_star "
                 f"(m={m_bad}, delta_star={self.delta_star})"
@@ -254,48 +361,23 @@ class LatticeModel:
     def psi_prime(self, m, eta):
         """Cubic-order force remainder psi_m'(eta); broadcasts over arrays.
 
-        For the power-law family the evaluation switches to a 12-term Taylor
-        series once |eta| < 1e-3 m: the direct formula subtracts the linear
-        and quadratic parts explicitly and would lose all significant digits
-        of the O(eta^3) remainder for the small strains the long-wave regime
-        produces.
+        For the power-law family this sums the Taylor series, whose length
+        follows from the largest |eta/m| of the call (module docstring): the
+        direct formula subtracts the linear and quadratic parts explicitly
+        and would lose most significant digits of the O(eta^3) remainder
+        for the small strains the long-wave regime produces.
         """
         eta = np.asarray(eta, dtype=float)
         self._check_domain(m, eta)
-        return self._remainder(m, eta)
-
-    def _remainder(self, m, eta):
-        # psi_m'(eta) without the domain check
-        scalar = eta.ndim == 0 and np.ndim(m) == 0
-        if self.family == "calogero_moser":
-            out = _cm_psi_prime(self.a, m, np.atleast_1d(eta))
-        else:
-            out = self._table_eval(self._psi_prime, m, np.atleast_1d(eta))
-        return float(out[0]) if scalar else out
+        out = self._law.psi_prime(m, eta)
+        return float(out) if np.ndim(out) == 0 else out
 
     def psi_second(self, m, eta):
         """Second derivative of the remainder, same conventions as psi_prime."""
         eta = np.asarray(eta, dtype=float)
-        scalar = eta.ndim == 0 and np.ndim(m) == 0
         self._check_domain(m, eta)
-        if self.family == "calogero_moser":
-            out = _cm_psi_second(self.a, m, np.atleast_1d(eta))
-        else:
-            out = self._table_eval(self._psi_second, m, np.atleast_1d(eta))
-        return float(out[0]) if scalar else out
-
-    def _table_eval(self, table, m, eta):
-        if np.ndim(m) == 0:
-            fn = table[int(m) - 1] if int(m) <= len(table) else None
-            return fn(eta) if fn is not None else np.zeros_like(eta)
-        m = np.asarray(m)
-        out = np.zeros(np.broadcast_shapes(m.shape, eta.shape))
-        eta_b = np.broadcast_to(eta, out.shape)
-        for i, mi in enumerate(m.ravel()):
-            fn = table[int(mi) - 1] if int(mi) <= len(table) else None
-            if fn is not None:
-                out.reshape(m.size, -1)[i] = fn(eta_b.reshape(m.size, -1)[i])
-        return out
+        out = self._law.psi_second(m, eta)
+        return float(out) if np.ndim(out) == 0 else out
 
     def force_term(self, m, eta):
         """Phi_m'(r* m + eta) - varsigma_m = alpha eta + beta eta^2 + psi'.
@@ -303,41 +385,12 @@ class LatticeModel:
         Does not check the domain |eta| <= m delta_star; the caller does.
         """
         eta = np.asarray(eta, dtype=float)
-        if self.family == "calogero_moser":
-            a = self.a
-            m_f = np.asarray(m, dtype=float)
-            al = a * (a + 1.0) * m_f ** (-a - 2.0)
-            be = -0.5 * a * (a + 1.0) * (a + 2.0) * m_f ** (-a - 3.0)
-        else:
-            idx = np.asarray(m, dtype=int) - 1
-            al = self.alpha[idx]
-            be = self.beta[idx]
-        return al * eta + be * eta * eta + self._remainder(m, eta)
+        law = self._law
+        return law.alpha(m) * eta + law.beta(m) * eta * eta + law.psi_prime(m, eta)
 
     def pair_energy(self, m, eta):
         """Phi_m(r* m + eta) - Phi_m(r* m), the gauge-fixed bond energy."""
-        eta = np.asarray(eta, dtype=float)
-        if self.family == "calogero_moser":
-            a = self.a
-            m_f = np.asarray(m, dtype=float)
-            # m^-a * ((1 + eta/m)^-a - 1), stable for small strains
-            return m_f ** (-a) * np.expm1(-a * np.log1p(eta / m_f))
-        idx = np.asarray(m, dtype=int) - 1
-        base = (self.varsigma[idx] * eta + 0.5 * self.alpha[idx] * eta ** 2
-                + self.beta[idx] * eta ** 3 / 3.0)
-        if any(fn is not None for fn in self._psi_prime):
-            base = base + self._psi_energy(m, eta)
-        return base
-
-    def _psi_energy(self, m, eta):
-        # integral of psi' over [0, eta], 16-node Gauss-Legendre
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        t = 0.5 * (nodes + 1.0)
-        w = 0.5 * weights
-        acc = np.zeros_like(eta)
-        for ti, wi in zip(t, w):
-            acc = acc + wi * self.psi_prime(m, eta * ti)
-        return acc * eta
+        return self._law.pair_energy(m, np.asarray(eta, dtype=float))
 
     # -- power-series form of the force laws -------------------------------
 
@@ -351,20 +404,7 @@ class LatticeModel:
         ``psi_prime`` sums.  None when some psi' is a user callable, which
         has no series form.
         """
-        m = np.asarray(m, dtype=float)
-        if self.family == "calogero_moser":
-            a = self.a
-            n = np.arange(1, n_terms + 1)[:, None]
-            binom = _binom_series_coeffs(-a - 1.0, 1, n_terms)[:, None]
-            return -a * binom * m ** (-a - 1.0 - n)
-        if any(fn is not None for fn in self._psi_prime):
-            return None
-        idx = m.astype(int) - 1
-        out = np.zeros((n_terms, m.size))
-        out[0] = self.alpha[idx]
-        if n_terms > 1:
-            out[1] = self.beta[idx]
-        return out
+        return self._law.series(n_terms, np.asarray(m, dtype=float))
 
     def series_length(self, rho):
         """Terms of ``force_series`` needed on |eta| <= m rho, or None.
@@ -373,24 +413,10 @@ class LatticeModel:
         ``sum_{n>N} |c_{n,m}| (m rho)^n <= tail |alpha_m| m rho`` for every m
         with ``tail <= 2^-53``: the truncation sits below rounding of the
         linear force.  The table polynomials need N = 2 with tail 0.  None
-        when there is no series or the power law would need more than
-        ``_FORCE_SERIES_MAX`` terms (rho past about 0.03 at a = 4).
+        when there is no series or the power law would need more than 12
+        terms (rho past about 0.03 at a = 4).
         """
-        if self.family != "calogero_moser":
-            if any(fn is not None for fn in self._psi_prime):
-                return None
-            return 2, 0.0
-        # |c_{n,m}| (m rho)^n / (alpha_m m rho) = t_n = binom(a+n, n) rho^(n-1) / (a+1)
-        # for every m; t_{n+1} / t_n = rho (a+n+1)/(n+1) falls with n, so
-        # the geometric series at the first dropped ratio bounds the tail
-        a = self.a
-        t = 1.0  # t_1
-        for N in range(1, _FORCE_SERIES_MAX + 1):
-            t *= rho * (a + N + 1.0) / (N + 1.0)  # t_{N+1}
-            ratio = rho * (a + N + 2.0) / (N + 2.0)
-            if ratio < 1.0 and t / (1.0 - ratio) <= _SERIES_TOL:
-                return N, t / (1.0 - ratio)
-        return None
+        return self._law.series_length(rho)
 
     def range_tail_bound(self, m_cut, rho):
         """Bound on the force one site gets from all ranges m > m_cut.
@@ -412,7 +438,7 @@ class LatticeModel:
         return 2.0 * (body + tail)
 
 
-# -- power-law remainder kernels -------------------------------------------
+# -- power-law series ------------------------------------------------------------
 
 _series_cache = {}
 
@@ -431,48 +457,36 @@ def _binom_series_coeffs(q, n_from, n_count):
     return _series_cache[key]
 
 
-def _horner(coeffs, z):
+def _series_cut(p, n_first, z):
+    """Cut of sum_{n >= n_first} binom(-p, n) x^n on |x| <= z, or None.
+
+    Returns ``(N, tail)``: N is the least last power with
+    ``sum_{n>N} |binom(-p, n)| z^n <= tail |binom(-p, n_first)| z^n_first``
+    and ``tail <= 2^-53``, so N also holds for every smaller |x|.  None when
+    more than ``_SERIES_MAX`` terms would be needed.
+    """
+    # t_n = |binom(-p, n)| z^n relative to t_{n_first}; the ratio
+    # t_{n+1}/t_n = z (p+n)/(n+1) falls with n, so the geometric series at
+    # the first dropped ratio bounds the tail
+    t = 1.0
+    for N in range(n_first, n_first + _SERIES_MAX):
+        t *= z * (p + N) / (N + 1.0)  # t_{N+1}
+        ratio = z * (p + N + 1.0) / (N + 2.0)
+        if ratio < 1.0 and t / (1.0 - ratio) <= _SERIES_TOL:
+            return N, t / (1.0 - ratio)
+    return None
+
+
+def _binomial_sum(q, n_first, z):
+    """sum_{n >= n_first} binom(q, n) z^n cut by ``_series_cut`` at the
+    largest |z|, by Horner's rule; None past the series cap."""
+    cut = _series_cut(-q, n_first, np.max(np.abs(z), initial=0.0))
+    if cut is None:
+        return None
     acc = np.zeros_like(z)
-    for c in coeffs[::-1]:
+    for c in _binom_series_coeffs(q, n_first, cut[0] - n_first + 1)[::-1]:
         acc = (acc + c) * z
-    return acc
-
-
-def _cm_psi_prime(a, m, eta):
-    m = np.asarray(m, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    z = eta / m
-    lead = -a * m ** (-a - 1.0)
-    out = lead * _horner(_binom_series_coeffs(-a - 1.0, 3, _SERIES_TERMS), z) * z * z
-    big = np.abs(z) >= _SERIES_SWITCH
-    if np.any(big):
-        # direct evaluation only where the series would need too many terms;
-        # the power calls dominate the cost, so stay off this path in bulk
-        idx = np.nonzero(np.broadcast_to(big, out.shape))
-        mm = np.broadcast_to(m, out.shape)[idx]
-        ee = np.broadcast_to(eta, out.shape)[idx]
-        al = a * (a + 1.0) * mm ** (-a - 2.0)
-        be = -0.5 * a * (a + 1.0) * (a + 2.0) * mm ** (-a - 3.0)
-        out[idx] = (-a * (mm + ee) ** (-a - 1.0) + a * mm ** (-a - 1.0)
-                    - al * ee - be * ee * ee)
-    return out
-
-
-def _cm_psi_second(a, m, eta):
-    m = np.asarray(m, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    z = eta / m
-    al = a * (a + 1.0) * m ** (-a - 2.0)
-    out = al * _horner(_binom_series_coeffs(-a - 2.0, 2, _SERIES_TERMS), z) * z
-    big = np.abs(z) >= _SERIES_SWITCH
-    if np.any(big):
-        idx = np.nonzero(np.broadcast_to(big, out.shape))
-        mm = np.broadcast_to(m, out.shape)[idx]
-        ee = np.broadcast_to(eta, out.shape)[idx]
-        alx = a * (a + 1.0) * mm ** (-a - 2.0)
-        bex = -0.5 * a * (a + 1.0) * (a + 2.0) * mm ** (-a - 3.0)
-        out[idx] = a * (a + 1.0) * (mm + ee) ** (-a - 2.0) - alx - 2.0 * bex * ee
-    return out
+    return acc * z ** (n_first - 1)
 
 
 # -- model construction ------------------------------------------------------
@@ -492,9 +506,9 @@ def build_model(spec, trunc_tol=1e-8):
     """
     if trunc_tol <= 0.0:
         raise ConfigError("trunc_tol must be positive")
-    if spec.family == "calogero_moser":
-        return _build_power_law(spec, trunc_tol)
-    return _build_finite(spec, trunc_tol)
+    if spec.a is None:
+        return _build_finite(spec, trunc_tol)
+    return _build_power_law(spec, trunc_tol)
 
 
 def _build_power_law(spec, trunc_tol):
@@ -529,7 +543,7 @@ def _build_power_law(spec, trunc_tol):
     # EM-corrected zeta is good to ~1e-13 absolute; scale by the largest prefactor
     unc = 1e-12 * c_max * max(z_am2, 1.0)
     return LatticeModel(
-        family="calogero_moser", r_star=1.0, delta_star=spec.delta_star,
+        family=spec.family, r_star=1.0, delta_star=spec.delta_star,
         M=M, alpha=alpha, beta=beta, gamma=gamma, varsigma=varsigma,
         a=a, trunc_tol=trunc_tol,
         sum_alpha=c_alpha * z_ap2,
@@ -543,29 +557,27 @@ def _build_power_law(spec, trunc_tol):
         tail_beta_m3=c_beta * integral_tail_bound(a, M),
         tail_beta_m5=c_beta * integral_tail_bound(a - 2.0, M),
         tail_gamma_m4=c_gamma * integral_tail_bound(a, M),
+        _law=_PowerLaw(a),
     )
 
 
 def _build_finite(spec, trunc_tol):
-    alpha = np.asarray(spec.alpha, dtype=float)
-    beta = np.asarray(spec.beta, dtype=float)
-    gamma = np.asarray(spec.gamma, dtype=float)
-    varsigma = np.asarray(spec.varsigma, dtype=float)
+    alpha = np.array(spec.alpha, dtype=float)
+    beta = np.array(spec.beta, dtype=float)
+    gamma = np.array(spec.gamma, dtype=float)
+    varsigma = np.array(spec.varsigma, dtype=float)
     M = len(alpha)
     if M == 0:
         raise ConfigError("empty coefficient sequences")
     m = np.arange(1, M + 1, dtype=float)
-    b = float(np.sum(beta * m ** 3))
-    if spec.family != "custom" and b == 0.0:
-        raise DegeneracyError("degenerate quadratic coefficient: sum beta_m m^3 = 0")
     return LatticeModel(
         family=spec.family, r_star=spec.r_star, delta_star=spec.delta_star,
-        M=M, alpha=alpha.copy(), beta=beta.copy(), gamma=gamma.copy(),
-        varsigma=varsigma.copy(), a=None, trunc_tol=trunc_tol,
+        M=M, alpha=alpha, beta=beta, gamma=gamma,
+        varsigma=varsigma, a=None, trunc_tol=trunc_tol,
         sum_alpha=float(np.sum(alpha)),
         sum_alpha_m2=float(np.sum(alpha * m ** 2)),
         sum_alpha_m4=float(np.sum(alpha * m ** 4)),
-        sum_beta_m3=b,
+        sum_beta_m3=float(np.sum(beta * m ** 3)),
         sum_abs_beta_m5=float(np.sum(np.abs(beta) * m ** 5)),
         sum_gamma_m4=float(np.sum(gamma * m ** 4)),
         sum_uncertainty=0.0,
@@ -573,30 +585,11 @@ def _build_finite(spec, trunc_tol):
         tail_beta_m3=spec.tail_beta_m5,  # conservative: m^5 bound dominates m^3
         tail_beta_m5=spec.tail_beta_m5,
         tail_gamma_m4=spec.tail_gamma_m4,
-        _psi_prime=spec.psi_prime,
-        _psi_second=spec.psi_second,
+        _law=_Table(alpha, beta, varsigma, spec.psi_prime, spec.psi_second),
     )
 
 
 # -- derived scalars ----------------------------------------------------------
-
-def b_coefficient(model):
-    """Certified quadratic coefficient ``b = sum beta_m m^3``.
-
-    Raises ``DegeneracyError`` when |b| cannot be separated from the
-    truncation/correction uncertainty, since the whole leading-order theory
-    collapses for b = 0.
-    """
-    b = model.sum_beta_m3
-    slack = model.sum_uncertainty + (0.0 if model.family == "calogero_moser"
-                                     else model.tail_beta_m3)
-    if abs(b) <= slack:
-        raise DegeneracyError(
-            f"cannot certify sum beta_m m^3 != 0: value {b} within "
-            f"uncertainty {slack}"
-        )
-    return b
-
 
 @dataclass(frozen=True)
 class AssumptionReport:
@@ -624,24 +617,34 @@ def check_assumptions(model):
     ``b = sum beta_m m^3`` is certifiably non-zero.  Never raises: failures
     are carried as flags.
     """
-    if model.family == "calogero_moser":
-        beta5, g4 = model.sum_abs_beta_m5, model.sum_gamma_m4
-        beta5_tail = g4_tail = model.sum_uncertainty
-        finite = True
+    beta5, g4 = model.sum_abs_beta_m5, model.sum_gamma_m4
+    if model.infinite_range:
+        # the certified sums already cover every m
+        beta5_tail = g4_tail = b_unc = model.sum_uncertainty
     else:
-        m = model.m_values()
-        beta5 = float(np.sum(np.abs(model.beta) * m ** 5))
-        g4 = float(np.sum(model.gamma * m ** 4))
-        beta5_tail = model.tail_beta_m5
-        g4_tail = model.tail_gamma_m4
-        finite = math.isfinite(beta5 + beta5_tail) and math.isfinite(g4 + g4_tail)
+        beta5_tail, g4_tail = model.tail_beta_m5, model.tail_gamma_m4
+        b_unc = model.sum_uncertainty + model.tail_beta_m3
     b = model.sum_beta_m3
-    b_unc = model.sum_uncertainty + (0.0 if model.family == "calogero_moser"
-                                     else model.tail_beta_m3)
     return AssumptionReport(
         beta_m5_value=beta5, beta_m5_tail=beta5_tail,
         gamma_m4_value=g4, gamma_m4_tail=g4_tail,
         b_value=b, b_uncertainty=b_unc,
         b_nonzero=abs(b) > b_unc,
-        sums_finite=finite,
+        sums_finite=math.isfinite(beta5 + beta5_tail) and math.isfinite(g4 + g4_tail),
     )
+
+
+def b_coefficient(model):
+    """Certified quadratic coefficient ``b = sum beta_m m^3``.
+
+    Raises ``DegeneracyError`` when |b| cannot be separated from the
+    truncation/correction uncertainty, since the whole leading-order theory
+    collapses for b = 0.
+    """
+    rep = check_assumptions(model)
+    if not rep.b_nonzero:
+        raise DegeneracyError(
+            f"cannot certify sum beta_m m^3 != 0: value {rep.b_value} within "
+            f"uncertainty {rep.b_uncertainty}"
+        )
+    return rep.b_value

@@ -14,9 +14,10 @@ Config keys
 [grid]     L, N
 [solver]   eps or eps_list (comma list), sigma_override, tol, max_iter,
            method = contraction | petviashvili | both, m_apply,
-           residual_target, eps_max
+           residual_target, eps_max, workers
 [simulate] J, T, dt, m_force, checkpoints
-[output]   dir, seed, quiet
+[output]   dir, seed
+An unknown section or key is an error; ``;`` starts an inline comment.
 """
 
 import argparse
@@ -41,11 +42,30 @@ from .spectral import Grid
 from .svgfig import line_plot
 
 
+_KEYS = {  # known keys per section, lower case as configparser stores them
+    "model": {"family", "a", "g", "beta1", "beta2", "alpha1", "alphas", "betas",
+              "trunc_tol", "delta_star"},
+    "grid": {"l", "n"},
+    "solver": {"eps", "eps_list", "sigma_override", "tol", "max_iter", "method",
+               "m_apply", "residual_target", "eps_max", "workers"},
+    "simulate": {"j", "t", "dt", "m_force", "checkpoints"},
+    "output": {"dir", "seed"},
+}
+
+
 def _load_config(path):
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    cp.read_dict({name: {} for name in _KEYS})
     read = cp.read(path)
     if not read:
         raise LatticeWaveError(f"config file not found: {path}")
+    for name in cp.sections():
+        if name not in _KEYS:
+            raise LatticeWaveError(f"unknown config section [{name}] in {path}")
+        unknown = sorted(set(cp[name]) - _KEYS[name])
+        if unknown:
+            raise LatticeWaveError(
+                f"unknown config key '{unknown[0]}' in section [{name}] of {path}")
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
     return cp, digest
 
@@ -76,21 +96,18 @@ def _build_from_config(cp):
 
 
 def _grid_from_config(cp):
-    if "grid" not in cp:
-        return Grid()
     return Grid(L=cp["grid"].getfloat("L", fallback=40.0),
                 N=cp["grid"].getint("N", fallback=2048))
 
 
 def _out_dir(cp, args):
-    out = args.out or (cp["output"].get("dir", "out") if "output" in cp else "out")
-    path = Path(out)
+    path = Path(args.out or cp["output"].get("dir", fallback="out"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _seed(cp):
-    return cp["output"].getint("seed", fallback=0) if "output" in cp else 0
+    return cp["output"].getint("seed", fallback=0)
 
 
 def _write_json(path, payload, digest):
@@ -103,8 +120,12 @@ def _write_json(path, payload, digest):
         fh.write("\n")
 
 
-def _csv_header(digest):
-    return f"# config_sha256={digest}"
+def _write_csv(path, digest, header, rows):
+    # ".17g" round-trips every float and prints small ints as str() does
+    with open(path, "w") as fh:
+        fh.write(f"# config_sha256={digest}\n{header}\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _say(args, msg):
@@ -112,22 +133,22 @@ def _say(args, msg):
         print(msg)
 
 
-def _certify(cp, args, digest, out):
-    model = _build_from_config(cp)
-    profile = certify_type1(model)
+def _write_lambda(model, digest, out):
+    """lambda.csv and lambda.svg: the phase speed on [0, 4 pi]."""
     k = np.linspace(0.0, 4.0 * math.pi, 1024)
     lam = phase_speed_sq(model, k)
-    lam_csv = out / "lambda.csv"
-    with open(lam_csv, "w") as fh:
-        fh.write(_csv_header(digest) + "\n")
-        fh.write("k,lambda\n")
-        for ki, li in zip(k, lam):
-            fh.write(f"{ki:.17g},{li:.17g}\n")
+    _write_csv(out / "lambda.csv", digest, "k,lambda", zip(k, lam))
     line_plot(out / "lambda.svg", [(k, lam, "lambda(k)")],
               title="phase speed squared vs wavenumber",
               xlabel="k", ylabel="lambda(k)",
-              hlines=[(profile.c0_sq, "c0^2")],
+              hlines=[(model.sum_alpha_m2, "c0^2")],
               comment=f"config_sha256={digest}")
+
+
+def _certify(cp, args, digest, out):
+    model = _build_from_config(cp)
+    profile = certify_type1(model)
+    _write_lambda(model, digest, out)
     payload = profile.to_dict()
     payload["seed"] = _seed(cp)
     _write_json(out / "certificate.json", payload, digest)
@@ -143,18 +164,16 @@ def cmd_classify(cp, args, digest):
 
 
 def _solver_params(cp, args):
-    sec = cp["solver"] if "solver" in cp else {}
-    get = sec.getfloat if hasattr(sec, "getfloat") else lambda *a, **k: None
-    eps = args.eps if args.eps is not None else (
-        sec.getfloat("eps", fallback=0.1) if hasattr(sec, "getfloat") else 0.1)
-    sigma = args.sigma if args.sigma is not None else (
-        sec.getfloat("sigma_override", fallback=None) if hasattr(sec, "getfloat") else None)
-    tol = sec.getfloat("tol", fallback=1e-12) if hasattr(sec, "getfloat") else 1e-12
-    max_iter = sec.getint("max_iter", fallback=50) if hasattr(sec, "getint") else 50
-    method = sec.get("method", "contraction") if hasattr(sec, "get") else "contraction"
-    m_apply = sec.getint("m_apply", fallback=None) if hasattr(sec, "getint") else None
-    target = sec.getfloat("residual_target", fallback=1e-8) if hasattr(sec, "getfloat") else 1e-8
-    eps_max = sec.getfloat("eps_max", fallback=0.5) if hasattr(sec, "getfloat") else 0.5
+    sec = cp["solver"]
+    eps = args.eps if args.eps is not None else sec.getfloat("eps", fallback=0.1)
+    sigma = (args.sigma if args.sigma is not None
+             else sec.getfloat("sigma_override", fallback=None))
+    tol = sec.getfloat("tol", fallback=1e-12)
+    max_iter = sec.getint("max_iter", fallback=50)
+    method = sec.get("method", fallback="contraction")
+    m_apply = sec.getint("m_apply", fallback=None)
+    target = sec.getfloat("residual_target", fallback=1e-8)
+    eps_max = sec.getfloat("eps_max", fallback=0.5)
     return eps, sigma, tol, max_iter, method, m_apply, target, eps_max
 
 
@@ -175,11 +194,8 @@ def cmd_solve(cp, args, digest):
         solutions.append(solve_petviashvili(ctx, tol=tol, max_iter=500))
     sol = solutions[0]
     w0 = ctx.background
-    with open(out / "profile.csv", "w") as fh:
-        fh.write(_csv_header(digest) + "\n")
-        fh.write("x,W,V,W0\n")
-        for x, w, v, w0v in zip(grid.x, sol.W.values, sol.V.values, w0.values):
-            fh.write(f"{x:.17g},{w:.17g},{v:.17g},{w0v:.17g}\n")
+    _write_csv(out / "profile.csv", digest, "x,W,V,W0",
+               zip(grid.x, sol.W.values, sol.V.values, w0.values))
     payload = sol.to_dict()
     payload["profile_csv"] = "profile.csv"
     payload["seed"] = _seed(cp)
@@ -212,12 +228,8 @@ def cmd_sweep(cp, args, digest):
     report = scaling_sweep(profile, grid, eps_list, sigma=sigma, tol=tol,
                            max_iter=max_iter, m_apply=m_apply,
                            eps_max=eps_max, workers=workers)
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write(_csv_header(digest) + "\n")
-        fh.write("eps,diff_H1,residual,iterations\n")
-        for row in report.rows():
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+    _write_csv(out / "sweep.csv", digest, "eps,diff_H1,residual,iterations",
+               report.rows())
     payload = {
         "slope": report.slope,
         "sigma_expected": report.sigma_expected,
@@ -240,12 +252,12 @@ def cmd_simulate(cp, args, digest):
         return 1
     grid = _grid_from_config(cp)
     eps, sigma, tol, max_iter, _, m_apply, _, eps_max = _solver_params(cp, args)
-    sec = cp["simulate"] if "simulate" in cp else {}
-    J = sec.getint("J", fallback=4096) if hasattr(sec, "getint") else 4096
-    T = sec.getfloat("T", fallback=200.0) if hasattr(sec, "getfloat") else 200.0
-    dt = sec.getfloat("dt", fallback=None) if hasattr(sec, "getfloat") else None
-    m_force = sec.getint("m_force", fallback=None) if hasattr(sec, "getint") else None
-    chk = sec.getint("checkpoints", fallback=100) if hasattr(sec, "getint") else 100
+    sec = cp["simulate"]
+    J = sec.getint("J", fallback=4096)
+    T = sec.getfloat("T", fallback=200.0)
+    dt = sec.getfloat("dt", fallback=None)
+    m_force = sec.getint("m_force", fallback=None)
+    chk = sec.getint("checkpoints", fallback=100)
     if eps > 0.0 and eps * J < 4.0 * grid.L:
         raise LatticeWaveError(
             f"[simulate] J={J} too short for eps={eps}: need eps*J >= 4L")
@@ -253,11 +265,8 @@ def cmd_simulate(cp, args, digest):
                             eps_max=eps_max)
     sol = solve_contraction(ctx, tol=tol, max_iter=max_iter)
     report = run_and_verify(sol, J, T, dt=dt, m_force=m_force, checkpoints=chk)
-    with open(out / "trajectory.csv", "w") as fh:
-        fh.write(_csv_header(digest) + "\n")
-        fh.write("t,peak_position,peak_value,energy\n")
-        for row in report.trajectory:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_csv(out / "trajectory.csv", digest, "t,peak_position,peak_value,energy",
+               report.trajectory)
     payload = report.to_dict()
     payload["solver_residual_H1"] = sol.residual_H1
     payload["seed"] = _seed(cp)
@@ -269,19 +278,7 @@ def cmd_simulate(cp, args, digest):
 
 def cmd_plot(cp, args, digest):
     out = _out_dir(cp, args)
-    model = _build_from_config(cp)
-    k = np.linspace(0.0, 4.0 * math.pi, 1024)
-    lam = phase_speed_sq(model, k)
-    with open(out / "lambda.csv", "w") as fh:
-        fh.write(_csv_header(digest) + "\n")
-        fh.write("k,lambda\n")
-        for ki, li in zip(k, lam):
-            fh.write(f"{ki:.17g},{li:.17g}\n")
-    line_plot(out / "lambda.svg", [(k, lam, "lambda(k)")],
-              title="phase speed squared vs wavenumber",
-              xlabel="k", ylabel="lambda(k)",
-              hlines=[(model.sum_alpha_m2, "c0^2")],
-              comment=f"config_sha256={digest}")
+    _write_lambda(_build_from_config(cp), digest, out)
     _say(args, f"wrote {out / 'lambda.csv'} and {out / 'lambda.svg'}")
     return 0
 

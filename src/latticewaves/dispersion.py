@@ -158,7 +158,7 @@ class TaylorRemainders:
         kk = k[nz]
         xmin = np.min(np.abs(kk))
         m_eff = model.M
-        if model.family == "calogero_moser":
+        if model.infinite_range:
             m_eff = int(min(max(model.M, math.ceil(8.0 / xmin)), _M_EXT_CAP))
         acc = np.zeros_like(kk)
         s2 = 0.0  # sum alpha m^2 over the explicit range
@@ -168,11 +168,7 @@ class TaylorRemainders:
         for lo in range(0, m_eff, step):
             hi = min(lo + step, m_eff)
             mc = np.arange(lo + 1, hi + 1, dtype=float)
-            if hi <= model.M:
-                al = model.alpha[lo:hi]
-            else:
-                al = model.alpha_of(mc)
-            w2 = al * mc * mc
+            w2 = model.alpha_of(mc) * mc * mc
             acc += w2 @ kernel(np.outer(mc, kk))
             s2 += float(np.sum(w2))
             s4 += float(np.sum(w2 * mc * mc))
@@ -236,13 +232,18 @@ def estimate_sigma(model, k_range, n=40):
         raise DomainError(f"bad fit range {k_range}")
     if n < 20:
         raise DomainError("need at least 20 fit points")
+    fit = _fit_exponent(taylor_remainders(model), lo, hi, n)
+    return 2.0 if fit is None else float(min(2.0, max(fit, 1e-2)))
+
+
+def _fit_exponent(tr, lo, hi, n):
+    """Unclamped fit of estimate_sigma; None when every |t2| <= 1e-14."""
     ks = np.geomspace(lo, hi, n)
-    t2 = np.abs(taylor_remainders(model).t2(ks))
+    t2 = np.abs(tr.t2(ks))
     good = t2 > 1e-14
     if not np.any(good):
-        return 2.0
-    slope = np.polyfit(np.log(ks[good]), np.log(t2[good]), 1)[0]
-    return float(min(2.0, max(slope - 2.0, 1e-2)))
+        return None
+    return float(np.polyfit(np.log(ks[good]), np.log(t2[good]), 1)[0] - 2.0)
 
 
 @dataclass(frozen=True)
@@ -318,16 +319,13 @@ def certify_type1(model, k_max=4.0 * math.pi, n_samples=4096,
     cond3 = False
     if cond2:
         for cand in k_star_candidates:
-            ks = np.geomspace(cand / 50.0, cand, 48)
-            t2 = np.abs(tr.t2(ks))
-            if np.all(t2 <= 1e-14):
+            fit = _fit_exponent(tr, cand / 50.0, cand, 48)
+            if fit is None:
                 sigma_fit, s_cert = 2.0, 2.0
                 notes.append("t2 below 1e-14 on fit range: analytic to "
                              "working precision, sigma = 2")
             else:
-                good = t2 > 1e-14
-                sigma_fit = float(np.polyfit(np.log(ks[good]),
-                                             np.log(t2[good]), 1)[0] - 2.0)
+                sigma_fit = fit
                 s_cert = min(2.0, max(math.floor(sigma_fit * 100.0) / 100.0, 0.01))
             kd = np.linspace(cand / 400.0, cand, 400)
             t2d = np.abs(tr.t2(kd))
@@ -346,9 +344,9 @@ def certify_type1(model, k_max=4.0 * math.pi, n_samples=4096,
         outside = lam[kk >= k_star]
         sup_outside = float(np.max(outside)) if outside.size else -math.inf
         # crude envelope beyond the sampled window: |lambda| <= 4 sum|alpha| / k^2
-        abs_alpha = float(np.sum(np.abs(model.alpha)))
-        if model.family == "calogero_moser":
-            abs_alpha += max(model.sum_alpha - float(np.sum(model.alpha)), 0.0)
+        # (plus the power law's alpha mass beyond M; a table has none)
+        abs_alpha = (float(np.sum(np.abs(model.alpha)))
+                     + max(model.sum_alpha - float(np.sum(model.alpha)), 0.0))
         envelope = 4.0 * abs_alpha / k_max ** 2
         sup_outside = max(sup_outside, envelope)
         cond4 = bool(sup_outside < c0_sq)

@@ -184,11 +184,6 @@ class LongWaveOperators:
 
     # -- linear multipliers ---------------------------------------------------
 
-    def scaled_dispersion(self, field):
-        """Multiplier lambda(eps k): the averaged linearized lattice force."""
-        return apply_multiplier(field, self.c0_sq - self.eps ** 2 * self._mult_b
-                                + 0.5 * self.eps ** 2 * abs(self.lambda_dd0))
-
     def linear(self, field):
         return apply_multiplier(field, self._mult_b)
 

@@ -47,6 +47,10 @@ class TestBuildModel:
         with pytest.raises(lw.DegeneracyError):
             lw.PotentialSpec.nnn(1.0, beta1=-8.0, beta2=1.0)
 
+    def test_finite_range_rejects_degenerate_quadratic(self):
+        with pytest.raises(lw.DegeneracyError):
+            lw.PotentialSpec.finite_range([1.0, 1.0], [-8.0, 1.0])
+
     def test_determinism(self):
         a = lw.build_model(lw.PotentialSpec.calogero_moser(3.7), trunc_tol=1e-7)
         b = lw.build_model(lw.PotentialSpec.calogero_moser(3.7), trunc_tol=1e-7)
@@ -111,6 +115,31 @@ class TestRemainders:
         m = np.arange(1, 5, dtype=float)[:, None]
         eta = 1e-4 * np.ones((4, 7))
         assert cm4.psi_prime(m, eta).shape == (4, 7)
+
+    @pytest.mark.parametrize("a", [3.5, 4.0, 6.0])
+    def test_series_accuracy_against_mpmath(self, a):
+        # psi' and psi'' against 40-digit arithmetic, from 1e-5 through the
+        # former 1e-3 switch to past the 12-term series cap, where the
+        # direct formula takes over and its cancellation costs some digits
+        mpmath = pytest.importorskip("mpmath")
+        from latticewaves.catalog import _series_cut
+        model = lw.build_model(lw.PotentialSpec.calogero_moser(a))
+        assert _series_cut(a + 1.0, 3, 0.05) is None
+        assert _series_cut(a + 2.0, 2, 0.05) is None
+        with mpmath.workdps(40):
+            A = mpmath.mpf(a)
+            for z, tol in ((1e-5, 1e-14), (9e-4, 1e-14), (1.1e-3, 1e-14),
+                           (1e-2, 1e-14), (0.05, 1e-12)):
+                for m in (1, 7, 300):
+                    for eta in (z * m, -z * m):
+                        M, E = mpmath.mpf(m), mpmath.mpf(eta)
+                        al = A * (A + 1) * M ** (-A - 2)
+                        be = -A * (A + 1) * (A + 2) / 2 * M ** (-A - 3)
+                        d1 = (-A * (M + E) ** (-A - 1) + A * M ** (-A - 1)
+                              - al * E - be * E * E)
+                        d2 = A * (A + 1) * (M + E) ** (-A - 2) - al - 2 * be * E
+                        assert abs(model.psi_prime(m, eta) - d1) <= tol * abs(d1)
+                        assert abs(model.psi_second(m, eta) - d2) <= tol * abs(d2)
 
 
 class TestZeta:

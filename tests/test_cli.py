@@ -2,11 +2,12 @@
 
 import configparser
 import json
+from pathlib import Path
 
 import pytest
 
 import latticewaves as lw
-from latticewaves.cli import _build_from_config, main
+from latticewaves.cli import _build_from_config, _grid_from_config, _load_config, main
 
 NNN_CONFIG = """\
 [model]
@@ -145,3 +146,25 @@ def test_cm_default_radius_matches_library(a):
     cp.read_string(f"[model]\nfamily = calogero_moser\na = {a}\n")
     model = _build_from_config(cp)
     assert model.delta_star == lw.PotentialSpec.calogero_moser(a).delta_star
+
+
+def test_readme_config_accepted(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    cp, _ = _load_config(str(cfg))
+    # inline "; ..." comments are stripped from the values
+    assert cp["model"].getfloat("a") == 4.0
+    assert _grid_from_config(cp).N == 2048
+    assert cp["simulate"].getint("J") == 4096
+    assert main(["plot", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("extra, name", [("[simulate]\nm_forc = 8\n", "m_forc"),
+                                         ("[modle]\na = 4.0\n", "modle")])
+def test_unknown_config_key_rejected(tmp_path, capsys, extra, name):
+    cfg = tmp_path / "typo.ini"
+    cfg.write_text("[model]\nfamily = nnn\ng = 1.0\n" + extra)
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert name in capsys.readouterr().err

@@ -254,7 +254,7 @@ def _wave_like_state(model, J, m_force, rng):
 class TestForcePaths:
     @pytest.mark.parametrize("model_name, m_force", [
         ("cm4", 1), ("cm4", 8), ("cm4", 64), ("cm4", 200),
-        ("cm35", 64), ("nnn1", 2), ("cubic_table", 3)])
+        ("cm35", 64), ("nnn1", 2), ("nnn1", 3), ("nnn1", 6), ("cubic_table", 3)])
     def test_against_gather(self, request, force_path, model_name, m_force, rng):
         model = (_cubic_table() if model_name == "cubic_table"
                  else request.getfixturevalue(model_name))
@@ -268,6 +268,16 @@ class TestForcePaths:
         taken = "direct" if model_name == "cubic_table" else force_path
         assert st.force_paths == {taken}
         assert (st.series_terms > 0) == (taken == "fft")
+
+    @pytest.mark.parametrize("m_force", [3, 6])
+    def test_table_range_past_M_adds_nothing(self, nnn1, force_path, m_force, rng):
+        # the table's coefficients are zero beyond M = 2
+        st = _wave_like_state(nnn1, 256, m_force, rng)
+        short = st.copy()
+        short.m_force = 2
+        f, ref = lw.force(st), lw.force(short)
+        assert np.max(np.abs(f - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert lw.total_energy(st) == pytest.approx(lw.total_energy(short), rel=1e-14)
 
     def test_wrap_beyond_full_ring(self, cm4, rng):
         # on J = 64, ranges m and m + 64 land on the same neighbour
