@@ -183,19 +183,19 @@ class _PowerLaw:
         a = self.a
         return -0.5 * a * (a + 1.0) * (a + 2.0) * np.asarray(m, dtype=float) ** (-a - 3.0)
 
-    def psi_prime(self, m, eta):
+    def psi_prime(self, m, eta, zmax=None):
         # -a m^(-a-1) sum_{n>=3} binom(-a-1, n) z^n with z = eta/m
         a, m = self.a, np.asarray(m, dtype=float)
-        series = _binomial_sum(-a - 1.0, 3, eta / m)
+        series = _binomial_sum(-a - 1.0, 3, eta / m, zmax)
         if series is None:
             return (-a * (m + eta) ** (-a - 1.0) + a * m ** (-a - 1.0)
                     - self.alpha(m) * eta - self.beta(m) * eta * eta)
         return -a * m ** (-a - 1.0) * series
 
-    def psi_second(self, m, eta):
+    def psi_second(self, m, eta, zmax=None):
         # alpha_m sum_{n>=2} binom(-a-2, n) z^n with z = eta/m
         a, m = self.a, np.asarray(m, dtype=float)
-        series = _binomial_sum(-a - 2.0, 2, eta / m)
+        series = _binomial_sum(-a - 2.0, 2, eta / m, zmax)
         if series is None:
             return (a * (a + 1.0) * (m + eta) ** (-a - 2.0) - self.alpha(m)
                     - 2.0 * self.beta(m) * eta)
@@ -234,10 +234,10 @@ class _Table:
     def beta(self, m):
         return _lookup(self._beta, m)
 
-    def psi_prime(self, m, eta):
+    def psi_prime(self, m, eta, zmax=None):
         return _call_each(self._psi_prime, m, eta)
 
-    def psi_second(self, m, eta):
+    def psi_second(self, m, eta, zmax=None):
         return _call_each(self._psi_second, m, eta)
 
     def pair_energy(self, m, eta):
@@ -349,14 +349,17 @@ class LatticeModel:
     # -- remainder evaluators ----------------------------------------------
 
     def _check_domain(self, m, eta):
+        """max|eta/m| over the call, after checking it against delta_star."""
         m = np.asarray(m, dtype=float)
-        bad = np.abs(eta) > m * self.delta_star
-        if np.any(bad):
-            m_bad = int(np.broadcast_to(m, bad.shape)[bad][0])
+        z = np.abs(eta / m)
+        zmax = float(np.max(z, initial=0.0))
+        if zmax > self.delta_star:
+            m_bad = int(np.broadcast_to(m, z.shape)[z > self.delta_star][0])
             raise DomainError(
                 f"strain out of expansion domain |eta| <= m*delta_star "
                 f"(m={m_bad}, delta_star={self.delta_star})"
             )
+        return zmax
 
     def psi_prime(self, m, eta):
         """Cubic-order force remainder psi_m'(eta); broadcasts over arrays.
@@ -368,15 +371,13 @@ class LatticeModel:
         for the small strains the long-wave regime produces.
         """
         eta = np.asarray(eta, dtype=float)
-        self._check_domain(m, eta)
-        out = self._law.psi_prime(m, eta)
+        out = self._law.psi_prime(m, eta, self._check_domain(m, eta))
         return float(out) if np.ndim(out) == 0 else out
 
     def psi_second(self, m, eta):
         """Second derivative of the remainder, same conventions as psi_prime."""
         eta = np.asarray(eta, dtype=float)
-        self._check_domain(m, eta)
-        out = self._law.psi_second(m, eta)
+        out = self._law.psi_second(m, eta, self._check_domain(m, eta))
         return float(out) if np.ndim(out) == 0 else out
 
     def force_term(self, m, eta):
@@ -477,10 +478,13 @@ def _series_cut(p, n_first, z):
     return None
 
 
-def _binomial_sum(q, n_first, z):
+def _binomial_sum(q, n_first, z, zmax=None):
     """sum_{n >= n_first} binom(q, n) z^n cut by ``_series_cut`` at the
-    largest |z|, by Horner's rule; None past the series cap."""
-    cut = _series_cut(-q, n_first, np.max(np.abs(z), initial=0.0))
+    largest |z| (``zmax`` when the caller has it), by Horner's rule; None
+    past the series cap."""
+    if zmax is None:
+        zmax = np.max(np.abs(z), initial=0.0)
+    cut = _series_cut(-q, n_first, zmax)
     if cut is None:
         return None
     acc = np.zeros_like(z)

@@ -51,6 +51,11 @@ _KEYS = {  # known keys per section, lower case as configparser stores them
     "simulate": {"j", "t", "dt", "m_force", "checkpoints"},
     "output": {"dir", "seed"},
 }
+_REQUIRED = {  # [model] keys a family cannot do without
+    "calogero_moser": ("a",),
+    "nnn": ("g",),
+    "finite_range": ("alphas", "betas"),
+}
 
 
 def _load_config(path):
@@ -76,6 +81,10 @@ def _build_from_config(cp):
     trunc_tol = sec.getfloat("trunc_tol", fallback=1e-8)
     # without the key each family keeps its PotentialSpec default radius
     radius = {"delta_star": sec.getfloat("delta_star")} if "delta_star" in sec else {}
+    missing = [key for key in _REQUIRED.get(family, ()) if key not in sec]
+    if missing:
+        raise LatticeWaveError(
+            f"[model] family = {family} needs key '{missing[0]}'")
     if family == "calogero_moser":
         spec = PotentialSpec.calogero_moser(sec.getfloat("a"), **radius)
     elif family == "nnn":

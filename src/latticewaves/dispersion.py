@@ -50,22 +50,28 @@ def _sinc(y):
     return np.sinc(y / np.pi)
 
 
-def _g1(y):
-    """sinc^2(y/2) - 1, series-evaluated for |y| < 1/2 (no cancellation)."""
-    y2 = y * y
-    series = -y2 / 12.0 * (1.0 - y2 / 30.0 * (1.0 - y2 / 56.0 *
-                           (1.0 - y2 / 90.0 * (1.0 - y2 / 132.0))))
-    direct = _sinc(0.5 * y) ** 2 - 1.0
-    return np.where(np.abs(y) < 0.5, series, direct)
+def _kernels(y):
+    """g1(y) = sinc^2(y/2) - 1 and g(y) = g1(y) + y^2/12 for y > 0.
 
-
-def _g(y):
-    """sinc^2(y/2) - 1 + y^2/12, the quadratic-subtracted kernel."""
-    y2 = y * y
-    series = y2 * y2 / 360.0 * (1.0 - y2 / 56.0 * (1.0 - y2 / 90.0 *
-                                (1.0 - y2 / 132.0)))
-    direct = (_sinc(0.5 * y) ** 2 - 1.0) + y2 / 12.0
-    return np.where(np.abs(y) < 0.5, series, direct)
+    One sin(y/2)/(y/2) per element; the entries with y < 1/2, where both
+    differences cancel, are overwritten by their series.  Consumes ``y``.
+    """
+    small = y < 0.5
+    y2 = y[small] ** 2
+    y *= 0.5
+    g1 = np.sin(y)
+    g1 /= y
+    g1 *= g1
+    g1 -= 1.0
+    y *= y
+    y /= 3.0  # (y/2)^2 / 3 = y^2/12
+    g = y
+    g += g1
+    g1[small] = -y2 / 12.0 * (1.0 - y2 / 30.0 * (1.0 - y2 / 56.0 * (
+        1.0 - y2 / 90.0 * (1.0 - y2 / 132.0))))
+    g[small] = y2 * y2 / 360.0 * (1.0 - y2 / 56.0 * (1.0 - y2 / 90.0 * (
+        1.0 - y2 / 132.0)))
+    return g1, g
 
 
 def dispersion_relation(model, k):
@@ -143,47 +149,47 @@ class TaylorRemainders:
     model: object = field(repr=False)
 
     def t1(self, k):
-        return self._eval(k, second_order=False)
+        return self.t1_t2(k)[0]
 
     def t2(self, k):
-        return self._eval(k, second_order=True)
+        return self.t1_t2(k)[1]
 
-    def _eval(self, k, second_order):
+    def t1_t2(self, k):
+        """Both remainders at k from one pass over the m-sums."""
         model = self.model
         k = np.atleast_1d(np.asarray(k, dtype=float))
-        out = np.zeros_like(k)
+        out1, out2 = np.zeros_like(k), np.zeros_like(k)
         nz = k != 0.0
         if not np.any(nz):
-            return out
+            return out1, out2
         kk = k[nz]
-        xmin = np.min(np.abs(kk))
+        ka = np.abs(kk)
         m_eff = model.M
         if model.infinite_range:
-            m_eff = int(min(max(model.M, math.ceil(8.0 / xmin)), _M_EXT_CAP))
-        acc = np.zeros_like(kk)
+            m_eff = int(min(max(model.M, math.ceil(8.0 / np.min(ka))), _M_EXT_CAP))
+        acc1, acc2 = np.zeros_like(kk), np.zeros_like(kk)
         s2 = 0.0  # sum alpha m^2 over the explicit range
         s4 = 0.0
-        kernel = _g if second_order else _g1
         step = max(1, _CHUNK_BUDGET // max(1, kk.size))
         for lo in range(0, m_eff, step):
             hi = min(lo + step, m_eff)
             mc = np.arange(lo + 1, hi + 1, dtype=float)
             w2 = model.alpha_of(mc) * mc * mc
-            acc += w2 @ kernel(np.outer(mc, kk))
+            g1, g = _kernels(np.outer(mc, ka))
+            acc1 += w2 @ g1
+            acc2 += w2 @ g
             s2 += float(np.sum(w2))
             s4 += float(np.sum(w2 * mc * mc))
         tail2 = model.sum_alpha_m2 - s2
         tail4 = model.sum_alpha_m4 - s4
-        osc = np.abs(kk) * m_eff >= 4.0
+        osc = ka * m_eff >= 4.0
         # oscillatory regime: tail kernels average to -1 (+ y^2/12 for t2);
         # sub-oscillatory (only reachable under the extension cap): quadratic
         # kernel approximation of the tail.
-        if second_order:
-            acc += np.where(osc, -tail2 + kk * kk * tail4 / 12.0, 0.0)
-        else:
-            acc += np.where(osc, -tail2, -kk * kk * tail4 / 12.0)
-        out[nz] = acc
-        return out
+        acc1 += np.where(osc, -tail2, -kk * kk * tail4 / 12.0)
+        acc2 += np.where(osc, -tail2 + kk * kk * tail4 / 12.0, 0.0)
+        out1[nz], out2[nz] = acc1, acc2
+        return out1, out2
 
 
 def taylor_remainders(model):
@@ -328,8 +334,8 @@ def certify_type1(model, k_max=4.0 * math.pi, n_samples=4096,
                 sigma_fit = fit
                 s_cert = min(2.0, max(math.floor(sigma_fit * 100.0) / 100.0, 0.01))
             kd = np.linspace(cand / 400.0, cand, 400)
-            t2d = np.abs(tr.t2(kd))
-            t1d = tr.t1(kd)
+            t1d, t2d = tr.t1_t2(kd)
+            t2d = np.abs(t2d)
             mu2 = safety * float(np.max(t2d / np.abs(kd) ** (2.0 + s_cert)))
             muq = float(np.min(-t1d / kd ** 2))
             if muq > 0.0 and mu2 <= muq:

@@ -20,15 +20,28 @@ As eps -> 0 these collapse to ``B_0 = -lambda''(0)(1 - d_xx)/2``,
 equation solved exactly by the sech^2 profile.  The solver works with the
 correction ansatz ``W = W0 + eps^sigma V``, for which this module provides
 the forcing ``R_eps``, the shifted cubic term ``N_eps`` and the linearized
-operator ``L_eps V = V - 2 B_eps^-1 Q_eps(W0, V)`` together with a
-matrix-free solver for it.
+operator ``L_eps V = V - 2 B_eps^-1 Q_eps(W0, V)`` together with a direct
+solver for it.
 
 All operators map even fields to even fields; pointwise products are
-dealiased with the 2/3 rule unless the context disables it.
+dealiased with the 2/3 rule.  On that subspace ``L_eps`` is a real banded
+matrix in the cosine basis ``c(j) = (-1)^j rfft(V)_j``, j < cut = N//3 + 1
+(the identity on the modes at and above the cut)::
+
+    (L_eps c)(j) = c(j) - (2 / B_eps(j)) sum_j' K(j, j') c(j'),
+    K(j, j') = (1/N) sum_m beta_m m^3 s_m(j) s_m(j')
+               [s_m(j - j') c0(|j - j'|) + [j' > 0] s_m(j + j') c0(j + j')]
+
+with ``s_m(j) = sinc(eps m k_j / 2)`` (1 at eps = 0, where the m-sum is b)
+and ``c0`` the cosine coefficients of the cut W0.  These fall below 2^-53 of
+their largest value past an index D (166 on the L = 40 box), so K has
+half-bandwidth D; ``linearized_solve`` factors it once with a band LU.
 """
 
+import contextlib
+
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .catalog import b_coefficient
 from .dispersion import long_wave_curvature, taylor_remainders
@@ -38,6 +51,8 @@ from .spectral import Field, apply_multiplier, project_even
 __all__ = ["moving_average", "averaging_defect", "LongWaveOperators"]
 
 _M_APPLY_DEFAULT = 512  # per-m FFT sums get expensive beyond this
+_SOLVE_RTOL = 1e-11     # accepted relative residual of a linearized solve
+_REFINE_STEPS = 2       # band-solve refinements before a solve gives up
 
 
 def _sinc(y):
@@ -84,8 +99,10 @@ def averaging_defect(field, width):
 class LongWaveOperators:
     """Operator context: one lattice, one grid, one scaling parameter eps.
 
-    Immutable after construction; all methods are pure field-to-field maps,
-    so distinct contexts can be evaluated concurrently.  ``eps = 0``
+    Immutable after construction apart from caches of W0-only terms and the
+    band factor held inside ``factored()``; all methods are pure
+    field-to-field maps, so distinct contexts can be evaluated
+    concurrently.  ``eps = 0``
     constructs the KdV-limit context in which the quadratic term becomes
     b*V*W, the linear operator its constant-coefficient limit, and the
     cubic remainder vanishes (used by the independent fixed-point oracle).
@@ -97,8 +114,8 @@ class LongWaveOperators:
     tail corrections.
     """
 
-    def __init__(self, profile, grid, eps, sigma=None, dealias=True,
-                 m_apply=None, eps_max=0.5):
+    def __init__(self, profile, grid, eps, sigma=None, m_apply=None,
+                 eps_max=0.5):
         model = profile.model
         if eps < 0.0 or eps > eps_max:
             raise ConfigError(f"eps={eps} outside (0, eps_max={eps_max}]")
@@ -114,7 +131,6 @@ class LongWaveOperators:
         self.grid = grid
         self.eps = float(eps)
         self.sigma = float(profile.sigma if sigma is None else sigma)
-        self.dealias = bool(dealias)
         self.m_apply = int(min(model.M, m_apply or _M_APPLY_DEFAULT))
         self._cut = grid.N // 3 + 1  # first zeroed rfft bin (2/3 rule)
 
@@ -130,11 +146,9 @@ class LongWaveOperators:
             self._mult_b = self._mult_b0.copy()
             self._mult_bdiff = np.zeros_like(k)
         else:
-            tr = taylor_remainders(model)
-            x = self.eps * k
-            t1 = tr.t1(x)
+            t1, t2 = taylor_remainders(model).t1_t2(self.eps * k)
             self._mult_b = half - t1 / self.eps ** 2
-            self._mult_bdiff = -tr.t2(x) / self.eps ** 2
+            self._mult_bdiff = -t2 / self.eps ** 2
         lo_bound = half * (1.0 - 1e-6)
         if np.min(self._mult_b) < lo_bound:
             raise CertificationError(
@@ -155,6 +169,8 @@ class LongWaveOperators:
         self.background = Field.from_function(
             grid, lambda x: amp / np.cosh(0.5 * x) ** 2, even=True)
         self._aw0 = None  # averaged-background stack, built on first use
+        self._pw0 = None  # P_eps(W0), built on first use
+        self._lu = None   # band LU of L_eps, held only inside factored()
 
     # -- plumbing -----------------------------------------------------------
 
@@ -163,15 +179,13 @@ class LongWaveOperators:
 
     def _hat(self, field):
         coeffs = np.fft.rfft(field.values)
-        if self.dealias:
-            coeffs[self._cut:] = 0.0
+        coeffs[self._cut:] = 0.0
         return coeffs
 
     def _product_hat(self, prod_rows):
         """rfft of pointwise products with the 2/3-rule cut applied."""
         ph = np.fft.rfft(prod_rows, axis=-1)
-        if self.dealias:
-            ph[..., self._cut:] = 0.0
+        ph[..., self._cut:] = 0.0
         return ph
 
     def multiplier_bounds(self):
@@ -269,7 +283,8 @@ class LongWaveOperators:
             raise ConfigError("forcing is defined for eps > 0")
         w0 = self.background
         qdiff = self.quadratic(w0, w0) - self.quadratic_limit(w0, w0)
-        total = -1.0 * self.linear_diff(w0) + qdiff + self.eps ** 2 * self.cubic(w0)
+        total = (-1.0 * self.linear_diff(w0) + qdiff
+                 + self.eps ** 2 * self._cubic_background())
         return self.eps ** (-self.sigma) * total
 
     def residual_forcing_naive(self):
@@ -282,8 +297,13 @@ class LongWaveOperators:
     def cubic_shift(self, V):
         """N_eps(V) = eps^-sigma [P_eps(W0 + eps^sigma V) - P_eps(W0)]."""
         shifted = self.background + self.eps ** self.sigma * V
-        diff = self.cubic(shifted) - self.cubic(self.background)
+        diff = self.cubic(shifted) - self._cubic_background()
         return self.eps ** (-self.sigma) * diff
+
+    def _cubic_background(self):
+        if self._pw0 is None:
+            self._pw0 = self.cubic(self.background)
+        return self._pw0
 
     def linearized(self, V):
         """L_eps V = V - 2 B_eps^-1 Q_eps(W0, V)."""
@@ -304,43 +324,105 @@ class LongWaveOperators:
             out_hat += np.sum(self._q_weights[lo:hi] * stack * ph, axis=0)
         return self._even(np.fft.irfft(out_hat, n=self.grid.N))
 
-    def linearized_solve(self, F, x0=None, rtol=1e-12, maxiter=500, restart=50):
-        """Solve L_eps V = F on the even subspace, matrix-free.
+    def linearized_solve(self, F):
+        """Solve L_eps V = F on the even subspace by a banded LU.
 
-        GMRES over applications of L_eps with the even projection wrapped
-        around every matvec (the odd complement is passed through untouched
-        to keep the operator nonsingular).  Relative residual target 1e-11;
-        on stagnation a dense column-assembled solve takes over for grids up
-        to N = 4096, else a SolverError reports the final residual.
+        The band matrix of the module docstring is built from the cut W0
+        and factored with LAPACK ``dgbtrf``; inside ``factored()`` the factor
+        is built once and reused, otherwise each call builds its own.  One
+        FFT application of ``linearized`` checks the result against the
+        relative residual target 1e-11; up to two refinement steps follow a
+        miss, after which a SolverError reports the residual.  (At eps = 0
+        the limit product b W0 V does not cut V, so modes of F past the cut
+        leak into the band and cost one refinement step.)
         """
-        grid = self.grid
-        b_vec = project_even(F).values
-        bnorm = float(np.linalg.norm(b_vec))
-        if bnorm == 0.0:
-            return Field.zero(grid)
-
-        def matvec(v):
-            f = project_even(Field(grid, v))
-            out = project_even(self.linearized(f)).values
-            return out + (v - f.values)
-
-        op = LinearOperator((grid.N, grid.N), matvec=matvec, dtype=float)
-        x0v = None if x0 is None else project_even(x0).values
-        x, _ = gmres(op, b_vec, x0=x0v, rtol=rtol, atol=0.0,
-                     restart=restart, maxiter=max(1, maxiter // restart))
-        res = float(np.linalg.norm(matvec(x) - b_vec)) / bnorm
-        if res <= 1e-11:
-            return project_even(Field(grid, x))
-        if grid.N <= 4096:
-            dense = np.empty((grid.N, grid.N))
-            eye = np.eye(grid.N)
-            for j in range(grid.N):
-                dense[:, j] = matvec(eye[:, j])
-            x = np.linalg.solve(dense, b_vec)
-            res = float(np.linalg.norm(matvec(x) - b_vec)) / bnorm
-            if res <= 1e-9:
-                return project_even(Field(grid, x))
+        f = project_even(F)
+        fnorm = float(np.linalg.norm(f.values))
+        if fnorm == 0.0:
+            return Field.zero(self.grid)
+        lu = self._band_lu() if self._lu is None else self._lu
+        V = self._band_solve(lu, f)
+        for step in range(_REFINE_STEPS + 1):
+            r = f - project_even(self.linearized(V))
+            res = float(np.linalg.norm(r.values)) / fnorm
+            if res <= _SOLVE_RTOL:
+                return V
+            if step < _REFINE_STEPS:
+                V = V + self._band_solve(lu, r)
         raise SolverError(
-            f"linearized solve stagnated: relative residual {res:.3e} "
-            f"after {maxiter} iterations"
+            f"linearized solve missed its target: relative residual "
+            f"{res:.3e} > {_SOLVE_RTOL:.0e} after {_REFINE_STEPS} refinement "
+            f"steps (eps={self.eps})"
         )
+
+    @contextlib.contextmanager
+    def factored(self):
+        """Keep one band LU of L_eps for the linearized solves in the block.
+
+        The factor is dropped on exit, so a context that outlives its solve
+        (a WaveSolution keeps one) holds no factor; a nested block uses the
+        outer one's.
+        """
+        outer = self._lu
+        if outer is None:
+            self._lu = self._band_lu()
+        try:
+            yield self
+        finally:
+            self._lu = outer
+
+    def _band_lu(self):
+        """(D, LU, pivots): the band matrix factored in place by dgbtrf."""
+        D, ab = self._band_matrix()
+        lu, piv, info = dgbtrf(ab, D, D, overwrite_ab=1)
+        if info != 0:
+            raise SolverError(
+                f"band LU of the linearized operator failed at eps={self.eps}: "
+                + (f"zero pivot U[{info - 1}, {info - 1}]" if info > 0
+                   else f"dgbtrf argument {-info} invalid"))
+        return D, lu, piv
+
+    def _band_matrix(self):
+        """(D, ab): L_eps on modes j < cut in LAPACK band storage.
+
+        Row 2D + i - j of the (3D + 1) x cut array ``ab`` holds entry
+        (i, j); the first D rows are the fill-in space dgbtrf needs.
+        """
+        N, cut = self.grid.N, self._cut
+        c0 = _cosine_coeffs(self._hat(self.background)[:cut])
+        D = int(np.flatnonzero(np.abs(c0) > 2.0 ** -53 * np.max(np.abs(c0)))[-1])
+        if self.eps == 0.0:
+            S, w = np.ones((1, cut)), np.array([self.b])
+        else:
+            S, w = self._sinc_stack[:, :cut], self._q_weights[:, 0]
+        scale = -2.0 / (N * self._mult_b[:cut])
+        ab = np.zeros((3 * D + 1, cut))
+        for d in range(D + 1):
+            # K(j + d, j) = K(j, j + d): the direct term on diagonal d
+            t = (S[:, d:] * S[:, :cut - d]).T @ (w * S[:, d]) * c0[d]
+            ab[2 * D + d, :cut - d] = scale[d:] * t
+            if d:
+                ab[2 * D - d, d:] = scale[:cut - d] * t
+        for i in range(D):
+            # the folded term couples (i, j) with j > 0 and i + j <= D
+            j = np.arange(1, D - i + 1)
+            t = (S[:, j] * S[:, i + j]).T @ (w * S[:, i]) * c0[i + j]
+            ab[2 * D + i - j, j] += scale[i] * t
+        ab[2 * D] += 1.0
+        return D, ab
+
+    def _band_solve(self, lu, F):
+        """Apply the band factor to the even part of F; the modes at and
+        above the cut pass through unchanged."""
+        D, factor, piv = lu
+        hat = _cosine_coeffs(np.fft.rfft(F.values))
+        hat[:self._cut], _ = dgbtrs(factor, D, D, hat[:self._cut], piv)
+        return self._even(np.fft.irfft(_cosine_coeffs(hat), n=self.grid.N))
+
+
+def _cosine_coeffs(hat):
+    """(-1)^j Re hat_j: the cosine coefficients of the even part of a field
+    on [-L, L) from its rfft (and back, for real coefficients)."""
+    out = hat.real.copy()
+    out[1::2] *= -1.0
+    return out

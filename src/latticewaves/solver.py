@@ -102,32 +102,35 @@ def solve_contraction(ctx, tol=1e-12, max_iter=50):
     Stops when the H^1 increment drops below ``tol``.  Divergence (iterate
     norm exceeding 10x the first iterate, which for small eps bounds the
     contraction ball) raises SolverError flagging eps as too large, as does
-    exhausting ``max_iter``.
+    exhausting ``max_iter``.  Every outer step solves with the same band
+    factor of L_eps, built once for the loop and dropped after it.
     """
     base = ctx.linear_inv(ctx.residual_forcing())
     V = Field.zero(ctx.grid)
     first_norm = None
     increments = []
-    for n in range(1, max_iter + 1):
-        rhs = base
-        if n > 1:
-            rhs = rhs + ctx.linear_inv(
-                ctx.eps ** ctx.sigma * ctx.quadratic(V, V)
-                + ctx.eps ** 2 * ctx.cubic_shift(V))
-        V_new = project_even(ctx.linearized_solve(rhs, x0=V))
-        inc = sobolev_norm(V_new - V, 1.0)
-        increments.append(inc)
-        norm = sobolev_norm(V_new, 1.0)
-        if first_norm is None:
-            first_norm = norm
-        elif norm > 10.0 * first_norm + 1e-12:
-            raise SolverError(
-                f"contraction failure at eps={ctx.eps}: iterate norm {norm:.3e} "
-                f"exceeds 10x first iterate {first_norm:.3e} (eps too large)"
-            )
-        V = V_new
-        if inc < tol:
-            return _package(ctx, V, n, "contraction", increments)
+    with ctx.factored():
+        for n in range(1, max_iter + 1):
+            rhs = base
+            if n > 1:
+                rhs = rhs + ctx.linear_inv(
+                    ctx.eps ** ctx.sigma * ctx.quadratic(V, V)
+                    + ctx.eps ** 2 * ctx.cubic_shift(V))
+            V_new = project_even(ctx.linearized_solve(rhs))
+            inc = sobolev_norm(V_new - V, 1.0)
+            increments.append(inc)
+            norm = sobolev_norm(V_new, 1.0)
+            if first_norm is None:
+                first_norm = norm
+            elif norm > 10.0 * first_norm + 1e-12:
+                raise SolverError(
+                    f"contraction failure at eps={ctx.eps}: iterate norm "
+                    f"{norm:.3e} exceeds 10x first iterate {first_norm:.3e} "
+                    f"(eps too large)"
+                )
+            V = V_new
+            if inc < tol:
+                return _package(ctx, V, n, "contraction", increments)
     raise SolverError(
         f"contraction did not converge in {max_iter} iterations; "
         f"last increment {increments[-1]:.3e}"

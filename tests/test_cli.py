@@ -168,3 +168,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys, extra, name):
     cfg.write_text("[model]\nfamily = nnn\ng = 1.0\n" + extra)
     assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, family, key", [
+    ("family = calogero_moser\n", "calogero_moser", "a"),
+    ("family = nnn\n", "nnn", "g"),
+    ("family = finite_range\nbetas = 1.0\n", "finite_range", "alphas"),
+    ("family = finite_range\nalphas = 1.0\n", "finite_range", "betas"),
+])
+def test_missing_model_key_rejected(tmp_path, capsys, body, family, key):
+    cfg = tmp_path / "short.ini"
+    cfg.write_text("[model]\n" + body)
+    assert main(["plot", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert family in err and f"'{key}'" in err

@@ -112,6 +112,48 @@ class TestTaylorRemainders:
                           - 0.5 * lw.long_wave_curvature(model) * k ** 2)
                 assert tr.t2(np.array([k]))[0] == pytest.approx(direct, rel=1e-7, abs=1e-9)
 
+    @pytest.mark.parametrize("name, k", [
+        ("cm6", 2e-3), ("cm6", 2.5),
+        ("cm35", 2e-3), ("cm35", 0.05), ("cm35", 2.5),
+        ("nnn1", 2e-3), ("nnn1", 0.05), ("nnn1", 2.5),
+        # y = mk near the kernels' series switch at 1/2: the five-term series
+        # is off by up to 3e-11 of g just below it, the direct form loses
+        # digits of g just above it
+        pytest.param("nnn1", 0.3, marks=pytest.mark.xfail(
+            strict=True, reason="kernel error near the y = 1/2 switch")),
+        pytest.param("cm6", 0.3, marks=pytest.mark.xfail(
+            strict=True, reason="kernel error near the y = 1/2 switch")),
+    ])
+    def test_against_mpmath(self, request, name, k):
+        # the truncated kernel sum at 30 digits (y = mk < 1/2 takes the
+        # series, larger y the direct form) plus the code's float tail terms
+        mpmath = pytest.importorskip("mpmath")
+        model = request.getfixturevalue(name)
+        tr = taylor_remainders(model)
+        t1, t2 = tr.t1_t2(np.array([k]))
+        assert (t1[0], t2[0]) == (tr.t1(k)[0], tr.t2(k)[0])
+        m_eff = model.M
+        if model.infinite_range:
+            m_eff = max(model.M, math.ceil(8.0 / k))
+        mc = np.arange(1, m_eff + 1, dtype=float)
+        w2 = model.alpha_of(mc) * mc * mc
+        tail2 = model.sum_alpha_m2 - float(np.sum(w2))
+        tail4 = model.sum_alpha_m4 - float(np.sum(w2 * mc * mc))
+        if k * m_eff >= 4.0:
+            tails = (-tail2, -tail2 + k * k * tail4 / 12.0)
+        else:
+            tails = (-k * k * tail4 / 12.0, 0.0)
+        with mpmath.workdps(30):
+            acc1 = acc2 = mpmath.mpf(0)
+            for m, w in zip(range(1, m_eff + 1), w2):
+                y = m * mpmath.mpf(k)
+                g1 = mpmath.sinc(y / 2) ** 2 - 1
+                acc1 += w * g1
+                acc2 += w * (g1 + y * y / 12)
+            ref1, ref2 = float(acc1 + tails[0]), float(acc2 + tails[1])
+        assert t1[0] == pytest.approx(ref1, rel=1e-13, abs=0.0)
+        assert t2[0] == pytest.approx(ref2, rel=1e-13, abs=0.0)
+
 
 class TestCoefficientsFromDispersion:
     def test_single_mode(self):

@@ -283,3 +283,72 @@ class TestLinearizedSolve:
             errs.append(sobolev_norm(v - v0, 1.0))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.05 * sobolev_norm(v0, 1.0)
+
+
+def _band_dense(ctx):
+    """Dense copy of the band matrix of L_eps on modes j < cut."""
+    D, ab = ctx._band_matrix()
+    cut = ab.shape[1]
+    i, j = np.indices((cut, cut))
+    inside = np.abs(i - j) <= D
+    dense = np.zeros((cut, cut))
+    dense[inside] = ab[(2 * D + i - j)[inside], j[inside]]
+    return dense
+
+
+def _cosine(field, cut):
+    """(-1)^j rfft(V)_j for j < cut, the basis of the band matrix."""
+    hat = np.fft.rfft(field.values)[:cut]
+    return np.where(np.arange(cut) % 2 == 0, 1.0, -1.0) * hat.real
+
+
+@pytest.fixture(scope="module", params=[
+    (fam, eps) for fam in ("cm35", "cm4", "nnn1") for eps in (0.0, 0.05, 0.2, 0.4)],
+    ids=lambda p: f"{p[0]}-eps{p[1]}")
+def band_ctx(request, grid):
+    fam, eps = request.param
+    prof = request.getfixturevalue(f"prof_{fam}")
+    return lw.LongWaveOperators(prof, grid, eps)
+
+
+class TestBandSolve:
+    def test_band_matches_linearized(self, band_ctx, grid, rng):
+        dense = _band_dense(band_ctx)
+        cut = dense.shape[0]
+        for _ in range(2):
+            v = random_band_limited(grid, rng, modes=200, even=True)
+            ref = _cosine(band_ctx.linearized(v), cut)
+            err = np.max(np.abs(dense @ _cosine(v, cut) - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref))
+
+    def test_solve_without_refinement(self, band_ctx, grid, rng):
+        f = random_band_limited(grid, rng, modes=200, even=True)
+        v = band_ctx._band_solve(band_ctx._band_lu(), f)
+        r = f - lw.project_even(band_ctx.linearized(v))
+        assert np.linalg.norm(r.values) <= 1e-11 * np.linalg.norm(f.values)
+        # one check matvec accepts it: the public solve returns the same field
+        assert np.array_equal(band_ctx.linearized_solve(f).values, v.values)
+
+    def test_error_names_residual(self, ctx_nnn1, grid, rng, monkeypatch):
+        monkeypatch.setattr(ctx_nnn1, "linearized", lambda V: 2.0 * V)
+        f = random_band_limited(grid, rng, even=True)
+        with pytest.raises(lw.SolverError, match="relative residual"):
+            ctx_nnn1.linearized_solve(f)
+
+    def test_factor_held_only_inside_block(self, prof_nnn1, grid):
+        ctx = lw.LongWaveOperators(prof_nnn1, grid, 0.2)
+        with ctx.factored():
+            held = ctx._lu
+            assert held is not None
+            with ctx.factored():
+                assert ctx._lu is held
+            assert ctx._lu is held
+        assert ctx._lu is None
+        sol = lw.solve_contraction(ctx)
+        assert sol.ctx._lu is None
+
+    def test_background_cubic_cached(self, prof_nnn1, grid):
+        ctx = lw.LongWaveOperators(prof_nnn1, grid, 0.2)
+        first = ctx.residual_forcing()
+        assert np.array_equal(ctx._pw0.values, ctx.cubic(ctx.background).values)
+        assert np.array_equal(ctx.residual_forcing().values, first.values)
