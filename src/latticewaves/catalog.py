@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DegeneracyError, DomainError
-from .sums import integral_tail_bound, zeta
+from .sums import integral_tail_bound, power_tail, zeta
 
 __all__ = [
     "PotentialSpec",
@@ -179,6 +179,10 @@ class _PowerLaw:
         a = self.a
         return a * (a + 1.0) * np.asarray(m, dtype=float) ** (-a - 2.0)
 
+    def alpha_tail(self, j, m_last):
+        # alpha_m m^j = a (a+1) m^(j-a-2)
+        return self.a * (self.a + 1.0) * power_tail(self.a + 2.0 - j, m_last)
+
     def beta(self, m):
         a = self.a
         return -0.5 * a * (a + 1.0) * (a + 2.0) * np.asarray(m, dtype=float) ** (-a - 3.0)
@@ -230,6 +234,9 @@ class _Table:
 
     def alpha(self, m):
         return _lookup(self._alpha, m)
+
+    def alpha_tail(self, j, m_last):
+        return 0.0  # called with m_last = M, and alpha is zero beyond M
 
     def beta(self, m):
         return _lookup(self._beta, m)
@@ -345,6 +352,11 @@ class LatticeModel:
     def alpha_of(self, m):
         """alpha_m for arbitrary m (zero beyond M for a table)."""
         return self._law.alpha(np.asarray(m, dtype=float))
+
+    def alpha_tail(self, j, m_last):
+        """sum_{m > m_last >= M} alpha_m m^j over the full series:
+        Euler-Maclaurin for the power law (j <= 4), zero for a table."""
+        return self._law.alpha_tail(j, m_last)
 
     # -- remainder evaluators ----------------------------------------------
 

@@ -29,11 +29,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .catalog import PotentialSpec, build_model
-from .dispersion import certify_type1, phase_speed_sq
+from .dispersion import _phase_speed_grid, certify_type1
 from .errors import LatticeWaveError
 from .operators import LongWaveOperators
 from .simulator import run_and_verify
@@ -144,8 +142,7 @@ def _say(args, msg):
 
 def _write_lambda(model, digest, out):
     """lambda.csv and lambda.svg: the phase speed on [0, 4 pi]."""
-    k = np.linspace(0.0, 4.0 * math.pi, 1024)
-    lam = phase_speed_sq(model, k)
+    k, lam = _phase_speed_grid(model, 4.0 * math.pi, 1023)
     _write_csv(out / "lambda.csv", digest, "k,lambda", zip(k, lam))
     line_plot(out / "lambda.svg", [(k, lam, "lambda(k)")],
               title="phase speed squared vs wavenumber",

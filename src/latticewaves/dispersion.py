@@ -15,9 +15,16 @@ solitary waves exist when ``lambda`` satisfies the "type I" conditions:
       |lambda(k) - lambda(0) - lambda''(0) k^2 / 2| <= mu* |k|^(2+sigma),
 (iv)  sup_{|k| >= k*} lambda(k) < lambda(0).
 
-``certify_type1`` checks all four numerically on a sampled grid (with tail
-envelopes beyond it) and fits the remainder exponent sigma, which controls
-the size of the correction to the leading-order solitary wave.
+``certify_type1`` checks all four numerically and fits the remainder
+exponent sigma, which controls the size of the correction to the
+leading-order solitary wave.  It samples lambda at k_j = 2 pi R j / n
+(R = 2, n = 4096), where cos(m k_j) depends only on (m R j) mod n: folding
+alpha_m by m mod n and one rfft give theta at all n/2 + 1 distinct phases.
+Near each multiple of 2 pi, 1 - cos cancels and the fold's rounding would be
+amplified by 1/k^2; there theta comes from the sinc series at the phase,
+once per phase.  Condition (iv) is decided on an enclosure of lambda between
+the samples from a bound on |lambda''| (``_sup_enclosure``), plus an
+envelope beyond the grid; condition (iii) stays sampled.
 
 The second-order Taylor remainder ``T2(k)`` is the quantity every operator
 estimate rests on; it suffers catastrophic cancellation when formed naively
@@ -43,6 +50,12 @@ __all__ = [
 # m-extension cap for small-argument remainder evaluation (power-law family)
 _M_EXT_CAP = 20_000_000
 _CHUNK_BUDGET = 4_000_000  # elements per (m-chunk x k) block
+_EPS = float(np.finfo(float).eps)
+# folded phases below this (rad) take theta from the sinc series: there the
+# fold's rounding, amplified by 1/k^2, is no longer below the series'.  Set
+# by comparing the fold with phase_speed_sq at every sample for calogero_moser
+# a = 3.5/4/6, nnn g = 1, classical FPUT and finite_range [1, 0, 0.3]
+_FOLD_PHASE_CUT = 0.6
 
 
 def _sinc(y):
@@ -53,10 +66,12 @@ def _sinc(y):
 def _kernels(y):
     """g1(y) = sinc^2(y/2) - 1 and g(y) = g1(y) + y^2/12 for y > 0.
 
-    One sin(y/2)/(y/2) per element; the entries with y < 1/2, where both
-    differences cancel, are overwritten by their series.  Consumes ``y``.
+    One sin(y/2)/(y/2) per element; the entries with y < 2, where g cancels,
+    are overwritten by the Taylor series of g (ten factors, dropped terms
+    below 1e-20 of g) and g1 = g - y^2/12, which does not cancel there.
+    Consumes ``y``.
     """
-    small = y < 0.5
+    small = y < 2.0
     y2 = y[small] ** 2
     y *= 0.5
     g1 = np.sin(y)
@@ -67,10 +82,14 @@ def _kernels(y):
     y /= 3.0  # (y/2)^2 / 3 = y^2/12
     g = y
     g += g1
-    g1[small] = -y2 / 12.0 * (1.0 - y2 / 30.0 * (1.0 - y2 / 56.0 * (
-        1.0 - y2 / 90.0 * (1.0 - y2 / 132.0))))
-    g[small] = y2 * y2 / 360.0 * (1.0 - y2 / 56.0 * (1.0 - y2 / 90.0 * (
-        1.0 - y2 / 132.0)))
+    # g = y^4/360 - y^6/20160 + ...: consecutive terms differ by the factor
+    # -y^2/((2n+1)(2n+2)), n = 3..12
+    gs = 1.0 - y2 / 650.0
+    for d in (552.0, 462.0, 380.0, 306.0, 240.0, 182.0, 132.0, 90.0, 56.0):
+        gs = 1.0 - y2 / d * gs
+    gs *= y2 * y2 / 360.0
+    g[small] = gs
+    g1[small] = gs - y2 / 12.0
     return g1, g
 
 
@@ -115,6 +134,32 @@ def phase_speed_sq(model, k):
     return float(out[0]) if scalar else out
 
 
+def _phase_speed_grid(model, k_max, n):
+    """k = linspace(0, k_max, n + 1) and lambda(k) on it.
+
+    For k_max = 2 pi R, R an integer, by the fold of the module docstring:
+    theta(k_j) is theta at the phase 2 pi q_j / n, q_j = R j mod n folded
+    onto [0, n/2].  Any other k_max takes ``phase_speed_sq`` at every sample.
+    """
+    k = np.linspace(0.0, k_max, n + 1)
+    turns = round(k_max / (2.0 * math.pi))
+    if turns < 1 or k_max != turns * (2.0 * math.pi):
+        return k, phase_speed_sq(model, k)
+    q = (turns * np.arange(n + 1)) % n
+    q = np.minimum(q, n - q)
+    folded = np.bincount(np.arange(1, model.M + 1) % n, weights=model.alpha,
+                         minlength=n)
+    c = np.fft.rfft(folded).real
+    theta = 2.0 * (c[0] - c)
+    zone = np.unique(q[(q > 0) & (q < _FOLD_PHASE_CUT * n / (2.0 * math.pi))])
+    phase = 2.0 * math.pi * zone / n
+    theta[zone] = phase * phase * phase_speed_sq(model, phase)
+    lam = np.empty_like(k)
+    lam[1:] = theta[q[1:]] / (k[1:] * k[1:])
+    lam[0] = model.sum_alpha_m2
+    return k, lam
+
+
 def long_wave_curvature(model):
     """lambda''(0) = -(1/6) sum alpha_m m^4, from the certified sum."""
     return -model.sum_alpha_m4 / 6.0
@@ -137,13 +182,14 @@ class TaylorRemainders:
     t1(k) = lambda(k) - lambda(0)
     t2(k) = lambda(k) - lambda(0) - lambda''(0) k^2 / 2
 
-    Assembled as sum_m alpha_m m^2 g(mk) over the stored coefficients plus
-    exact corrections for the full-series tail: subtracting the certified
-    tail mass of sum alpha_m m^2 (the kernels approach -1 resp. -1 + y^2/12
-    in the oscillatory regime) and, for t2, adding back k^2/12 times the
-    tail of sum alpha_m m^4 so the exact curvature is subtracted.  For the
-    power-law family the explicit sum is extended adaptively until every
-    requested k sits in the oscillatory regime of the tail.
+    Assembled as sum_m alpha_m m^2 g(mk) over the explicit range plus
+    corrections for the full-series tail beyond it (``alpha_tail``, zero for
+    a table): subtracting the tail mass of sum alpha_m m^2 (the kernels
+    approach -1 resp. -1 + y^2/12 in the oscillatory regime) and, for t2,
+    adding back k^2/12 times the tail of sum alpha_m m^4 so the exact
+    curvature is subtracted.  For the power-law family the explicit sum is
+    extended adaptively until every requested k sits in the oscillatory
+    regime of the tail.
     """
 
     model: object = field(repr=False)
@@ -168,8 +214,6 @@ class TaylorRemainders:
         if model.infinite_range:
             m_eff = int(min(max(model.M, math.ceil(8.0 / np.min(ka))), _M_EXT_CAP))
         acc1, acc2 = np.zeros_like(kk), np.zeros_like(kk)
-        s2 = 0.0  # sum alpha m^2 over the explicit range
-        s4 = 0.0
         step = max(1, _CHUNK_BUDGET // max(1, kk.size))
         for lo in range(0, m_eff, step):
             hi = min(lo + step, m_eff)
@@ -178,10 +222,7 @@ class TaylorRemainders:
             g1, g = _kernels(np.outer(mc, ka))
             acc1 += w2 @ g1
             acc2 += w2 @ g
-            s2 += float(np.sum(w2))
-            s4 += float(np.sum(w2 * mc * mc))
-        tail2 = model.sum_alpha_m2 - s2
-        tail4 = model.sum_alpha_m4 - s4
+        tail2, tail4 = model.alpha_tail(2, m_eff), model.alpha_tail(4, m_eff)
         osc = ka * m_eff >= 4.0
         # oscillatory regime: tail kernels average to -1 (+ y^2/12 for t2);
         # sub-oscillatory (only reachable under the extension cap): quadratic
@@ -265,6 +306,7 @@ class DispersionProfile:
     sigma: float = 2.0
     sigma_fit: float = 2.0
     sup_outside: float = 0.0
+    sup_outside_bound: float | None = None
     lambda_lower: float = 0.0
     type1_certified: bool = False
     conditions: dict = field(default_factory=dict)
@@ -281,6 +323,7 @@ class DispersionProfile:
             "sigma": self.sigma,
             "sigma_fit": self.sigma_fit,
             "sup_outside": self.sup_outside,
+            "sup_outside_bound": self.sup_outside_bound,
             "lambda_lower": self.lambda_lower,
             "type1": self.type1_certified,
             "conditions": dict(self.conditions),
@@ -288,14 +331,53 @@ class DispersionProfile:
         }
 
 
+def _sup_enclosure(model, k, lam, k_star):
+    """Upper bound on sup lambda over |k| >= k* from lam sampled at the
+    increasing k.
+
+    theta and its first two derivatives are at most 4 A0, 2 A1 and 2 A2 in
+    modulus, A_j = sum |alpha_m| m^j over the full series, so lambda =
+    theta / k^2 has |lambda''(k)| <= C2(k) = 2 A2/k^2 + 8 A1/k^3 + 24 A0/k^4,
+    which decreases in k.  On each interval between k* and the samples
+    beyond it, lambda is at most the larger endpoint plus C2(left end)
+    width^2 / 8.  The samples cover the stored alpha_m; the mass beyond M,
+    at most ``tail_alpha_m2`` in every A_j (m^j <= m^2 for m >= 1), adds
+    4 tail_alpha_m2 / k*^2, and the rounding of each sample (a sinc series
+    of M terms or the fold's FFT of the n samples) is allowed for with
+    (M + n) eps (A2 + 4 A0 / k*^2).  Beyond the last sample,
+    |lambda| <= 4 A0 / k^2.
+    """
+    m = model.m_values()
+    a_abs = np.abs(model.alpha)
+    tail = model.tail_alpha_m2
+    a0 = float(np.sum(a_abs)) + tail
+    a1 = float(np.sum(a_abs * m)) + tail
+    a2 = float(np.sum(a_abs * m * m)) + tail
+    i0 = int(np.searchsorted(k, k_star, side="right"))
+    knots = np.concatenate(([k_star], k[i0:]))
+    vals = np.concatenate(([phase_speed_sq(model, k_star)], lam[i0:]))
+    left, width = knots[:-1], np.diff(knots)
+    c2 = 2.0 * a2 / left ** 2 + 8.0 * a1 / left ** 3 + 24.0 * a0 / left ** 4
+    top = np.maximum(vals[:-1], vals[1:]) + c2 * width * width / 8.0
+    rounding = (model.M + k.size) * _EPS * (a2 + 4.0 * a0 / k_star ** 2)
+    inside = float(np.max(top)) + 4.0 * tail / k_star ** 2 + rounding
+    return max(inside, 4.0 * a0 / k[-1] ** 2)
+
+
 def certify_type1(model, k_max=4.0 * math.pi, n_samples=4096,
                   k_star_candidates=(0.5, 1.0, 1.5, 2.0), safety=1.2):
     """Grid-based certification of the type I conditions.
 
-    The sampled inequalities cannot exclude pathological oscillation between
-    samples; that caveat is recorded on the certificate rather than
-    resolved.  k* is the smallest candidate for which both condition (iii)
-    inequalities hold with a single constant mu* carrying a safety factor.
+    lambda is sampled on linspace(0, k_max, n_samples + 1): by the folded
+    FFT, with the sinc series in the cancellation zone near multiples of
+    2 pi, when k_max is a multiple of 2 pi (the default 4 pi), else by the
+    sinc series at every sample.  k* is the smallest candidate for which
+    both condition (iii) inequalities hold on 400 samples of [k*/400, k*]
+    with a single constant mu* carrying a safety factor; oscillation
+    between those samples is not excluded, and the certificate's note says
+    so.  Condition (iv) is decided on ``sup_outside_bound``, which encloses
+    lambda between the samples of [k*, k_max] and beyond k_max
+    (``_sup_enclosure``); ``sup_outside`` is the largest sample there.
     Failures never raise: they are recorded in the certificate flags.
     """
     if n_samples < 2048:
@@ -307,8 +389,8 @@ def certify_type1(model, k_max=4.0 * math.pi, n_samples=4096,
     ldd0 = float(long_wave_curvature(model))
     cond2 = bool(ldd0 < 0.0)
 
-    kk = np.linspace(0.0, k_max, n_samples + 1)[1:]
-    lam = phase_speed_sq(model, kk)
+    kk, lam = _phase_speed_grid(model, k_max, n_samples)
+    kk, lam = kk[1:], lam[1:]
 
     neg_mass = float(np.sum(np.clip(-model.alpha, 0.0, None)
                             * model.m_values() ** 2))
@@ -346,16 +428,16 @@ def certify_type1(model, k_max=4.0 * math.pi, n_samples=4096,
         else:
             notes.append("condition (iii) failed for every k* candidate")
 
+    sup_outside_bound = None
     if cond3:
         outside = lam[kk >= k_star]
         sup_outside = float(np.max(outside)) if outside.size else -math.inf
-        # crude envelope beyond the sampled window: |lambda| <= 4 sum|alpha| / k^2
-        # (plus the power law's alpha mass beyond M; a table has none)
-        abs_alpha = (float(np.sum(np.abs(model.alpha)))
-                     + max(model.sum_alpha - float(np.sum(model.alpha)), 0.0))
-        envelope = 4.0 * abs_alpha / k_max ** 2
-        sup_outside = max(sup_outside, envelope)
-        cond4 = bool(sup_outside < c0_sq)
+        sup_outside_bound = _sup_enclosure(model, kk, lam, k_star)
+        cond4 = bool(sup_outside_bound < c0_sq)
+        if cond4:
+            notes[0] = ("condition (iii) is checked on 400 samples of "
+                        "[k*/400, k*]; oscillation between them is not "
+                        "excluded")
     else:
         sup_outside = float(np.max(lam))
         cond4 = False
@@ -364,7 +446,8 @@ def certify_type1(model, k_max=4.0 * math.pi, n_samples=4096,
     return DispersionProfile(
         model=model, c0_sq=c0_sq, lambda_dd0=ldd0, k_star=k_star,
         mu_star=mu_star, mu_quad=mu_quad, sigma=sigma, sigma_fit=sigma_fit,
-        sup_outside=sup_outside, lambda_lower=lambda_lower,
+        sup_outside=sup_outside, sup_outside_bound=sup_outside_bound,
+        lambda_lower=lambda_lower,
         type1_certified=certified,
         conditions={"bounded_below": cond1, "negative_curvature": cond2,
                     "taylor_bounds": cond3, "subsonic_outside": cond4},

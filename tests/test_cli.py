@@ -4,6 +4,7 @@ import configparser
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latticewaves as lw
@@ -138,6 +139,25 @@ def test_cm_config(tmp_path):
     cert = json.loads((tmp_path / "cm_out" / "certificate.json").read_text())
     assert cert["type1"] is True
     assert cert["sigma"] == pytest.approx(1.0, abs=0.05)
+
+
+def test_cm_lambda_csv_matches_series(tmp_path):
+    # M = 3037 > 1023 intervals, so the folded FFT wraps; the k column is
+    # the one the sine series was written on, byte for byte
+    cfg = tmp_path / "cm.ini"
+    cfg.write_text(
+        "[model]\nfamily = calogero_moser\na = 4.0\ntrunc_tol = 1e-8\n"
+        f"[output]\ndir = {tmp_path / 'cm_out'}\n")
+    assert main(["classify", "--config", str(cfg), "--quiet"]) == 0
+    cert = json.loads((tmp_path / "cm_out" / "certificate.json").read_text())
+    assert cert["sup_outside"] <= cert["sup_outside_bound"] < cert["c0_sq"]
+    lines = (tmp_path / "cm_out" / "lambda.csv").read_text().splitlines()[2:]
+    k = np.linspace(0.0, 4.0 * np.pi, 1024)
+    assert [line.split(",")[0] for line in lines] == [f"{v:.17g}" for v in k]
+    lam = np.array([float(line.split(",")[1]) for line in lines])
+    model = _build_from_config(_load_config(cfg)[0])
+    ref = lw.phase_speed_sq(model, k)
+    assert np.max(np.abs(lam - ref)) <= 5e-14 * model.sum_alpha_m2
 
 
 @pytest.mark.parametrize("a", [3.5, 4.0])

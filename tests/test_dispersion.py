@@ -6,7 +6,21 @@ import numpy as np
 import pytest
 
 import latticewaves as lw
-from latticewaves.dispersion import taylor_remainders
+from latticewaves import dispersion
+from latticewaves.dispersion import _phase_speed_grid, taylor_remainders
+
+# the built-in families with a type I certificate; the first four are
+# conftest fixtures
+TYPE1 = ("cm35", "cm4", "cm6", "nnn1", "fput", "finite_range")
+
+
+def _model(request, name):
+    if name == "fput":
+        return lw.build_model(lw.PotentialSpec.classical_fput())
+    if name == "finite_range":
+        return lw.build_model(lw.PotentialSpec.finite_range(
+            alpha=[1.0, 0.0, 0.3], beta=[1.0, 0.0, 0.0]))
+    return request.getfixturevalue(name)
 
 
 class TestThetaLambda:
@@ -57,6 +71,57 @@ class TestThetaLambda:
         k = rng.uniform(0.05, 12.0, 500)
         lam = lw.phase_speed_sq(cm4, k)
         assert np.all(lam < cm4.sum_alpha_m2)
+
+
+class TestPhaseSpeedGrid:
+    """lambda on linspace(0, 2 pi R, n + 1) by the folded FFT."""
+
+    @pytest.mark.parametrize("n", [4096, 1023])
+    @pytest.mark.parametrize("name", TYPE1)
+    def test_matches_series_at_every_sample(self, request, name, n):
+        # cm35 has M = 13,838 > n, so the fold wraps
+        model = _model(request, name)
+        k, lam = _phase_speed_grid(model, 4.0 * np.pi, n)
+        assert np.array_equal(k, np.linspace(0.0, 4.0 * np.pi, n + 1))
+        assert lam[0] == model.sum_alpha_m2
+        ref = lw.phase_speed_sq(model, k)
+        assert np.max(np.abs(lam - ref)) <= 5e-14 * model.sum_alpha_m2
+
+    @pytest.mark.parametrize("name", ["cm35", "finite_range"])
+    def test_against_mpmath(self, request, name):
+        # the sample nearest each point, against the stored-coefficient sum
+        # at 30 digits; 2 pi +- h and the first sample sit in the zone where
+        # 1 - cos cancels
+        mpmath = pytest.importorskip("mpmath")
+        model = _model(request, name)
+        n = 4096
+        k, lam = _phase_speed_grid(model, 4.0 * np.pi, n)
+        h = 2.0 * np.pi / 2048
+        for target in (h, 0.25, 2.0 * np.pi - h, 2.0 * np.pi + h, 3.0, 4.0 * np.pi):
+            j = int(round(target / h))
+            with mpmath.workdps(30):
+                kj = mpmath.mpf(k[j])
+                acc = mpmath.mpf(0)
+                for m, al in enumerate(model.alpha, start=1):
+                    acc += al * (1 - mpmath.cos(m * kj))
+                ref = float(2 * acc / kj ** 2)
+            assert abs(lam[j] - ref) <= 5e-14 * model.sum_alpha_m2, target
+
+    def test_other_k_max_takes_the_series(self, cm4, monkeypatch):
+        sizes = []
+        series = dispersion.phase_speed_sq
+
+        def recording(model, k):
+            sizes.append(np.size(k))
+            return series(model, k)
+
+        monkeypatch.setattr(dispersion, "phase_speed_sq", recording)
+        prof = lw.certify_type1(cm4, k_max=5.0 * np.pi)
+        assert sizes[0] == 4097
+        assert prof.type1_certified
+        sizes.clear()
+        lw.certify_type1(cm4)
+        assert max(sizes) < 4097
 
 
 class TestCurvature:
@@ -113,20 +178,13 @@ class TestTaylorRemainders:
                 assert tr.t2(np.array([k]))[0] == pytest.approx(direct, rel=1e-7, abs=1e-9)
 
     @pytest.mark.parametrize("name, k", [
-        ("cm6", 2e-3), ("cm6", 2.5),
+        ("cm6", 2e-3), ("cm6", 0.3), ("cm6", 2.5),
         ("cm35", 2e-3), ("cm35", 0.05), ("cm35", 2.5),
-        ("nnn1", 2e-3), ("nnn1", 0.05), ("nnn1", 2.5),
-        # y = mk near the kernels' series switch at 1/2: the five-term series
-        # is off by up to 3e-11 of g just below it, the direct form loses
-        # digits of g just above it
-        pytest.param("nnn1", 0.3, marks=pytest.mark.xfail(
-            strict=True, reason="kernel error near the y = 1/2 switch")),
-        pytest.param("cm6", 0.3, marks=pytest.mark.xfail(
-            strict=True, reason="kernel error near the y = 1/2 switch")),
+        ("nnn1", 2e-3), ("nnn1", 0.05), ("nnn1", 0.3), ("nnn1", 2.5),
     ])
     def test_against_mpmath(self, request, name, k):
-        # the truncated kernel sum at 30 digits (y = mk < 1/2 takes the
-        # series, larger y the direct form) plus the code's float tail terms
+        # the kernel sum up to m_eff at 30 digits plus the true tail beyond
+        # it (Hurwitz zeta for the power law, zero for a table)
         mpmath = pytest.importorskip("mpmath")
         model = request.getfixturevalue(name)
         tr = taylor_remainders(model)
@@ -137,16 +195,20 @@ class TestTaylorRemainders:
             m_eff = max(model.M, math.ceil(8.0 / k))
         mc = np.arange(1, m_eff + 1, dtype=float)
         w2 = model.alpha_of(mc) * mc * mc
-        tail2 = model.sum_alpha_m2 - float(np.sum(w2))
-        tail4 = model.sum_alpha_m4 - float(np.sum(w2 * mc * mc))
-        if k * m_eff >= 4.0:
-            tails = (-tail2, -tail2 + k * k * tail4 / 12.0)
-        else:
-            tails = (-k * k * tail4 / 12.0, 0.0)
         with mpmath.workdps(30):
+            tail2 = tail4 = mpmath.mpf(0)
+            if model.infinite_range:
+                c = model.a * (model.a + 1)
+                tail2 = c * mpmath.zeta(model.a, m_eff + 1)
+                tail4 = c * mpmath.zeta(model.a - 2, m_eff + 1)
+            kk = mpmath.mpf(k)
+            if k * m_eff >= 4.0:
+                tails = (-tail2, -tail2 + kk * kk * tail4 / 12)
+            else:
+                tails = (-kk * kk * tail4 / 12, 0)
             acc1 = acc2 = mpmath.mpf(0)
             for m, w in zip(range(1, m_eff + 1), w2):
-                y = m * mpmath.mpf(k)
+                y = m * kk
                 g1 = mpmath.sinc(y / 2) ** 2 - 1
                 acc1 += w * g1
                 acc2 += w * (g1 + y * y / 12)
@@ -231,6 +293,43 @@ class TestCertification:
         # one constant must serve both condition (iii) inequalities
         assert 0.0 < prof_cm4.mu_star <= prof_cm4.mu_quad
         assert prof_cm4.k_star in (0.5, 1.0, 1.5, 2.0)
+
+    @pytest.mark.parametrize("name", TYPE1)
+    def test_outside_enclosure_holds(self, request, name):
+        model = _model(request, name)
+        prof = lw.certify_type1(model)
+        assert prof.type1_certified
+        assert prof.sup_outside <= prof.sup_outside_bound < prof.c0_sq
+        assert prof.to_dict()["sup_outside_bound"] == prof.sup_outside_bound
+        assert prof.notes[0].startswith("condition (iii)")
+
+    @pytest.mark.parametrize("name", ["cm6", "nnn1", "fput", "finite_range"])
+    def test_outside_enclosure_bounds_a_finer_grid(self, request, name):
+        model = _model(request, name)
+        prof = lw.certify_type1(model)
+        k = np.linspace(prof.k_star, 4.0 * np.pi, 65537)
+        assert np.max(lw.phase_speed_sq(model, k)) <= prof.sup_outside_bound
+
+    def test_outside_enclosure_counts_a_declared_tail(self):
+        # alpha mass a table declares beyond M can lift lambda by up to
+        # 4 tail / k*^2 outside k*, which no sample sees
+        def certify(tail):
+            return lw.certify_type1(lw.build_model(lw.PotentialSpec.custom(
+                [1.0, 0.0, 0.3], [1.0, 0.0, 0.0], None, tail_alpha_m2=tail)))
+
+        bare, light, heavy = certify(0.0), certify(1e-3), certify(0.05)
+        assert light.sup_outside == bare.sup_outside
+        assert light.sup_outside_bound >= (bare.sup_outside_bound
+                                           + 4e-3 / light.k_star ** 2)
+        assert light.type1_certified
+        assert heavy.sup_outside_bound > heavy.c0_sq
+        assert not heavy.conditions["subsonic_outside"]
+        assert "not excluded" in heavy.notes[0]
+
+    def test_no_enclosure_without_k_star(self):
+        prof = lw.certify_type1(lw.build_model(lw.PotentialSpec.nnn(-0.2)))
+        assert prof.sup_outside_bound is None
+        assert "not excluded" in prof.notes[0]
 
     def test_preconditions(self, cm4):
         with pytest.raises(lw.DomainError):
