@@ -1,27 +1,16 @@
 """Command-line pipeline: classify | solve | sweep | simulate | plot.
 
-One INI config file drives every subcommand (sections [model], [grid],
-[solver], [simulate], [output]); outputs are deterministic for a fixed
-config and seed, and every file embeds the config hash for provenance.
-Exit code 0 means every check the subcommand ran passed its threshold.
-
-Config keys
------------
-[model]    family = calogero_moser | nnn | classical_fput | finite_range
-           a (calogero_moser), g, beta1, beta2 (nnn), alpha1 (classical),
-           alphas, betas (finite_range, comma lists),
-           trunc_tol, delta_star
-[grid]     L, N
-[solver]   eps or eps_list (comma list), sigma_override, tol, max_iter,
-           method = contraction | petviashvili | both, m_apply,
-           residual_target, eps_max, workers
-[simulate] J, T, dt, m_force, checkpoints
-[output]   dir, seed
-An unknown section or key is an error; ``;`` starts an inline comment.
+One INI config file drives every subcommand; it is parsed once, by
+``_load_config``, into a frozen ``RunConfig`` whose fields are the keys of
+``_TABLE`` (the README lists them with their meaning).  Outputs are
+deterministic for a fixed config and seed, and every file embeds the
+config hash for provenance.  Exit code 0 means every check the subcommand
+ran passed its threshold; a bad config exits 2 naming what failed.
 """
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import math
@@ -32,22 +21,60 @@ from pathlib import Path
 from . import __version__
 from .catalog import PotentialSpec, build_model
 from .dispersion import _phase_speed_grid, certify_type1
-from .errors import LatticeWaveError
+from .errors import ConfigError, LatticeWaveError
 from .operators import LongWaveOperators
 from .simulator import run_and_verify
 from .solver import scaling_sweep, solve_contraction, solve_petviashvili
 from .spectral import Grid
 from .svgfig import line_plot
 
+_RESIDUAL_TARGET = 1e-8  # H^1 residual every solve must reach for exit 0
 
-_KEYS = {  # known keys per section, lower case as configparser stores them
-    "model": {"family", "a", "g", "beta1", "beta2", "alpha1", "alphas", "betas",
-              "trunc_tol", "delta_star"},
-    "grid": {"l", "n"},
-    "solver": {"eps", "eps_list", "sigma_override", "tol", "max_iter", "method",
-               "m_apply", "residual_target", "eps_max", "workers"},
-    "simulate": {"j", "t", "dt", "m_force", "checkpoints"},
-    "output": {"dir", "seed"},
+
+def _choice(*allowed):
+    def parse(raw):
+        if raw not in allowed:
+            raise ValueError(f"expected one of {' | '.join(allowed)}")
+        return raw
+    return parse
+
+
+def _floats(raw):
+    return tuple(float(v) for v in raw.split(","))
+
+
+_TABLE = {  # section -> key -> (parser, default); None means unset
+    "model": {
+        "family": (_choice("calogero_moser", "nnn", "classical_fput",
+                           "finite_range"), "calogero_moser"),
+        "a": (float, None),
+        "g": (float, None),
+        "beta1": (float, 1.0),
+        "beta2": (float, 0.0),
+        "alpha1": (float, 1.0),
+        "alphas": (_floats, None),
+        "betas": (_floats, None),
+        "trunc_tol": (float, 1e-8),
+        "delta_star": (float, None),  # unset: the family's own radius
+    },
+    "grid": {"L": (float, 40.0), "N": (int, 2048)},
+    "solver": {
+        "eps": (float, 0.1),
+        "eps_list": (_floats, (0.4, 0.28, 0.2, 0.14, 0.1)),
+        "sigma_override": (float, None),
+        "tol": (float, 1e-12),
+        "max_iter": (int, 50),
+        "method": (_choice("contraction", "petviashvili", "both"), "contraction"),
+        "workers": (int, 1),
+    },
+    "simulate": {
+        "J": (int, 4096),
+        "T": (float, 200.0),
+        "dt": (float, None),
+        "m_force": (int, None),
+        "checkpoints": (int, 100),
+    },
+    "output": {"dir": (str, "out"), "seed": (int, 0)},
 }
 _REQUIRED = {  # [model] keys a family cannot do without
     "calogero_moser": ("a",),
@@ -55,66 +82,63 @@ _REQUIRED = {  # [model] keys a family cannot do without
     "finite_range": ("alphas", "betas"),
 }
 
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [(key, object, default)
+     for section in _TABLE.values() for key, (_, default) in section.items()]
+    + [("sha256", str, "")],
+    frozen=True)
+RunConfig.__doc__ = """One run's settings: a field per ``_TABLE`` key, plus
+``sha256``, the first 16 hex digits of the config file's hash."""
+
 
 def _load_config(path):
+    """Parse and check the INI file at ``path`` into a RunConfig."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    cp.read_dict({name: {} for name in _KEYS})
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from None
     if not read:
-        raise LatticeWaveError(f"config file not found: {path}")
+        raise ConfigError(f"config file not found: {path}")
+    values = {}
     for name in cp.sections():
-        if name not in _KEYS:
-            raise LatticeWaveError(f"unknown config section [{name}] in {path}")
-        unknown = sorted(set(cp[name]) - _KEYS[name])
-        if unknown:
-            raise LatticeWaveError(
-                f"unknown config key '{unknown[0]}' in section [{name}] of {path}")
+        if name not in _TABLE:
+            raise ConfigError(f"unknown config section [{name}] in {path}")
+        keys = {key.lower(): key for key in _TABLE[name]}
+        for raw_key, raw in cp[name].items():
+            if raw_key not in keys:
+                raise ConfigError(
+                    f"unknown config key '{raw_key}' in section [{name}] of {path}")
+            key = keys[raw_key]
+            try:
+                values[key] = _TABLE[name][key][0](raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{name}] {key} = {raw}: {exc}") from None
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-    return cp, digest
+    return RunConfig(**values, sha256=digest)
 
 
-def _build_from_config(cp):
-    sec = cp["model"]
-    family = sec.get("family", "calogero_moser").strip()
-    trunc_tol = sec.getfloat("trunc_tol", fallback=1e-8)
-    # without the key each family keeps its PotentialSpec default radius
-    radius = {"delta_star": sec.getfloat("delta_star")} if "delta_star" in sec else {}
-    missing = [key for key in _REQUIRED.get(family, ()) if key not in sec]
+def _build_model(cfg):
+    missing = [key for key in _REQUIRED.get(cfg.family, ()) if getattr(cfg, key) is None]
     if missing:
-        raise LatticeWaveError(
-            f"[model] family = {family} needs key '{missing[0]}'")
-    if family == "calogero_moser":
-        spec = PotentialSpec.calogero_moser(sec.getfloat("a"), **radius)
-    elif family == "nnn":
-        spec = PotentialSpec.nnn(
-            sec.getfloat("g"), beta1=sec.getfloat("beta1", fallback=1.0),
-            beta2=sec.getfloat("beta2", fallback=0.0), **radius)
-    elif family == "classical_fput":
-        spec = PotentialSpec.classical_fput(
-            alpha1=sec.getfloat("alpha1", fallback=1.0),
-            beta1=sec.getfloat("beta1", fallback=1.0), **radius)
-    elif family == "finite_range":
-        alphas = [float(v) for v in sec.get("alphas").split(",")]
-        betas = [float(v) for v in sec.get("betas").split(",")]
-        spec = PotentialSpec.finite_range(alphas, betas, **radius)
+        raise ConfigError(f"[model] family = {cfg.family} needs key '{missing[0]}'")
+    radius = {} if cfg.delta_star is None else {"delta_star": cfg.delta_star}
+    if cfg.family == "calogero_moser":
+        spec = PotentialSpec.calogero_moser(cfg.a, **radius)
+    elif cfg.family == "nnn":
+        spec = PotentialSpec.nnn(cfg.g, beta1=cfg.beta1, beta2=cfg.beta2, **radius)
+    elif cfg.family == "classical_fput":
+        spec = PotentialSpec.classical_fput(alpha1=cfg.alpha1, beta1=cfg.beta1, **radius)
     else:
-        raise LatticeWaveError(f"unknown family '{family}'")
-    return build_model(spec, trunc_tol=trunc_tol)
+        spec = PotentialSpec.finite_range(cfg.alphas, cfg.betas, **radius)
+    return build_model(spec, trunc_tol=cfg.trunc_tol)
 
 
-def _grid_from_config(cp):
-    return Grid(L=cp["grid"].getfloat("L", fallback=40.0),
-                N=cp["grid"].getint("N", fallback=2048))
-
-
-def _out_dir(cp, args):
-    path = Path(args.out or cp["output"].get("dir", fallback="out"))
+def _out_dir(cfg):
+    path = Path(cfg.dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _seed(cp):
-    return cp["output"].getint("seed", fallback=0)
 
 
 def _write_json(path, payload, digest):
@@ -151,99 +175,77 @@ def _write_lambda(model, digest, out):
               comment=f"config_sha256={digest}")
 
 
-def _certify(cp, args, digest, out):
-    model = _build_from_config(cp)
+def _certify(cfg, args, out):
+    model = _build_model(cfg)
     profile = certify_type1(model)
-    _write_lambda(model, digest, out)
+    _write_lambda(model, cfg.sha256, out)
     payload = profile.to_dict()
-    payload["seed"] = _seed(cp)
-    _write_json(out / "certificate.json", payload, digest)
+    payload["seed"] = cfg.seed
+    _write_json(out / "certificate.json", payload, cfg.sha256)
     _say(args, f"type1={profile.type1_certified} sigma={profile.sigma} "
                f"k_star={profile.k_star} (certificate.json, lambda.csv/svg)")
     return model, profile
 
 
-def cmd_classify(cp, args, digest):
-    out = _out_dir(cp, args)
-    _, profile = _certify(cp, args, digest, out)
+def cmd_classify(cfg, args):
+    _, profile = _certify(cfg, args, _out_dir(cfg))
     return 0 if profile.type1_certified else 1
 
 
-def _solver_params(cp, args):
-    sec = cp["solver"]
-    eps = args.eps if args.eps is not None else sec.getfloat("eps", fallback=0.1)
-    sigma = (args.sigma if args.sigma is not None
-             else sec.getfloat("sigma_override", fallback=None))
-    tol = sec.getfloat("tol", fallback=1e-12)
-    max_iter = sec.getint("max_iter", fallback=50)
-    method = sec.get("method", fallback="contraction")
-    m_apply = sec.getint("m_apply", fallback=None)
-    target = sec.getfloat("residual_target", fallback=1e-8)
-    eps_max = sec.getfloat("eps_max", fallback=0.5)
-    return eps, sigma, tol, max_iter, method, m_apply, target, eps_max
-
-
-def cmd_solve(cp, args, digest):
-    out = _out_dir(cp, args)
-    model, profile = _certify(cp, args, digest, out)
+def cmd_solve(cfg, args):
+    out = _out_dir(cfg)
+    _, profile = _certify(cfg, args, out)
     if not profile.type1_certified:
         _say(args, "model is not type I; no wave to solve for")
         return 1
-    grid = _grid_from_config(cp)
-    eps, sigma, tol, max_iter, method, m_apply, target, eps_max = _solver_params(cp, args)
-    ctx = LongWaveOperators(profile, grid, eps, sigma=sigma, m_apply=m_apply,
-                            eps_max=eps_max)
+    grid = Grid(L=cfg.L, N=cfg.N)
+    ctx = LongWaveOperators(profile, grid, cfg.eps, sigma=cfg.sigma_override)
     solutions = []
-    if method in ("contraction", "both"):
-        solutions.append(solve_contraction(ctx, tol=tol, max_iter=max_iter))
-    if method in ("petviashvili", "both"):
-        solutions.append(solve_petviashvili(ctx, tol=tol, max_iter=500))
+    if cfg.method in ("contraction", "both"):
+        solutions.append(solve_contraction(ctx, tol=cfg.tol, max_iter=cfg.max_iter))
+    if cfg.method in ("petviashvili", "both"):
+        solutions.append(solve_petviashvili(ctx, tol=cfg.tol))
     sol = solutions[0]
     w0 = ctx.background
-    _write_csv(out / "profile.csv", digest, "x,W,V,W0",
+    _write_csv(out / "profile.csv", cfg.sha256, "x,W,V,W0",
                zip(grid.x, sol.W.values, sol.V.values, w0.values))
     payload = sol.to_dict()
     payload["profile_csv"] = "profile.csv"
-    payload["seed"] = _seed(cp)
+    payload["seed"] = cfg.seed
     if len(solutions) == 2:
         agree = (solutions[0].W - solutions[1].W).norm(1.0)
         payload["method_agreement_H1"] = agree
         payload["petviashvili_residual_H1"] = solutions[1].residual_H1
-    _write_json(out / "solution.json", payload, digest)
+    _write_json(out / "solution.json", payload, cfg.sha256)
     line_plot(out / "profile.svg",
               [(grid.x, sol.W.values, "W"), (grid.x, w0.values, "W0")],
-              title=f"wave profile, eps={eps}", xlabel="x", ylabel="W(x)",
-              comment=f"config_sha256={digest}")
-    ok = all(s.residual_H1 <= target for s in solutions)
+              title=f"wave profile, eps={cfg.eps}", xlabel="x", ylabel="W(x)",
+              comment=f"config_sha256={cfg.sha256}")
+    ok = all(s.residual_H1 <= _RESIDUAL_TARGET for s in solutions)
     for s in solutions:
         _say(args, f"{s.method}: iterations={s.iterations} "
                    f"residual_H1={s.residual_H1:.3e}")
     return 0 if ok else 1
 
 
-def cmd_sweep(cp, args, digest):
-    out = _out_dir(cp, args)
-    model, profile = _certify(cp, args, digest, out)
+def cmd_sweep(cfg, args):
+    out = _out_dir(cfg)
+    _, profile = _certify(cfg, args, out)
     if not profile.type1_certified:
         return 1
-    grid = _grid_from_config(cp)
-    _, sigma, tol, max_iter, _, m_apply, _, eps_max = _solver_params(cp, args)
-    sec = cp["solver"]
-    eps_list = [float(v) for v in sec.get("eps_list", "0.4,0.28,0.2,0.14,0.1").split(",")]
-    workers = sec.getint("workers", fallback=1)
-    report = scaling_sweep(profile, grid, eps_list, sigma=sigma, tol=tol,
-                           max_iter=max_iter, m_apply=m_apply,
-                           eps_max=eps_max, workers=workers)
-    _write_csv(out / "sweep.csv", digest, "eps,diff_H1,residual,iterations",
+    report = scaling_sweep(profile, Grid(L=cfg.L, N=cfg.N), cfg.eps_list,
+                           sigma=cfg.sigma_override, tol=cfg.tol,
+                           max_iter=cfg.max_iter, workers=cfg.workers)
+    _write_csv(out / "sweep.csv", cfg.sha256, "eps,diff_H1,residual,iterations",
                report.rows())
     payload = {
         "slope": report.slope,
         "sigma_expected": report.sigma_expected,
         "eps": list(report.eps),
         "failures": [f for f in report.failures if f],
-        "seed": _seed(cp),
+        "seed": cfg.seed,
     }
-    _write_json(out / "sweep.json", payload, digest)
+    _write_json(out / "sweep.json", payload, cfg.sha256)
     ok = (math.isfinite(report.slope)
           and abs(report.slope - report.sigma_expected) <= 0.25 * report.sigma_expected
           and not any(report.failures))
@@ -251,40 +253,33 @@ def cmd_sweep(cp, args, digest):
     return 0 if ok else 1
 
 
-def cmd_simulate(cp, args, digest):
-    out = _out_dir(cp, args)
-    model, profile = _certify(cp, args, digest, out)
+def cmd_simulate(cfg, args):
+    out = _out_dir(cfg)
+    _, profile = _certify(cfg, args, out)
     if not profile.type1_certified:
         return 1
-    grid = _grid_from_config(cp)
-    eps, sigma, tol, max_iter, _, m_apply, _, eps_max = _solver_params(cp, args)
-    sec = cp["simulate"]
-    J = sec.getint("J", fallback=4096)
-    T = sec.getfloat("T", fallback=200.0)
-    dt = sec.getfloat("dt", fallback=None)
-    m_force = sec.getint("m_force", fallback=None)
-    chk = sec.getint("checkpoints", fallback=100)
-    if eps > 0.0 and eps * J < 4.0 * grid.L:
-        raise LatticeWaveError(
-            f"[simulate] J={J} too short for eps={eps}: need eps*J >= 4L")
-    ctx = LongWaveOperators(profile, grid, eps, sigma=sigma, m_apply=m_apply,
-                            eps_max=eps_max)
-    sol = solve_contraction(ctx, tol=tol, max_iter=max_iter)
-    report = run_and_verify(sol, J, T, dt=dt, m_force=m_force, checkpoints=chk)
-    _write_csv(out / "trajectory.csv", digest, "t,peak_position,peak_value,energy",
+    grid = Grid(L=cfg.L, N=cfg.N)
+    if cfg.eps > 0.0 and cfg.eps * cfg.J < 4.0 * grid.L:
+        raise ConfigError(
+            f"[simulate] J={cfg.J} too short for eps={cfg.eps}: need eps*J >= 4L")
+    ctx = LongWaveOperators(profile, grid, cfg.eps, sigma=cfg.sigma_override)
+    sol = solve_contraction(ctx, tol=cfg.tol, max_iter=cfg.max_iter)
+    report = run_and_verify(sol, cfg.J, cfg.T, dt=cfg.dt, m_force=cfg.m_force,
+                            checkpoints=cfg.checkpoints)
+    _write_csv(out / "trajectory.csv", cfg.sha256, "t,peak_position,peak_value,energy",
                report.trajectory)
     payload = report.to_dict()
     payload["solver_residual_H1"] = sol.residual_H1
-    payload["seed"] = _seed(cp)
-    _write_json(out / "report.json", payload, digest)
+    payload["seed"] = cfg.seed
+    _write_json(out / "report.json", payload, cfg.sha256)
     _say(args, f"speed error {report.speed_rel_error:.3e}, shape error "
                f"{report.shape_error_max:.3e}, drift {report.energy_drift:.3e}")
     return 0 if report.passed() and not report.early_stopped else 1
 
 
-def cmd_plot(cp, args, digest):
-    out = _out_dir(cp, args)
-    _write_lambda(_build_from_config(cp), digest, out)
+def cmd_plot(cfg, args):
+    out = _out_dir(cfg)
+    _write_lambda(_build_model(cfg), cfg.sha256, out)
     _say(args, f"wrote {out / 'lambda.csv'} and {out / 'lambda.svg'}")
     return 0
 
@@ -305,16 +300,19 @@ def main(argv=None):
                     "solve, sweep, simulate, plot.")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="INI config path")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", default=None, help="override [output] dir")
     parser.add_argument("--eps", type=float, default=None,
                         help="override [solver] eps")
     parser.add_argument("--sigma", type=float, default=None,
                         help="override the certified scaling exponent")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
+    overrides = {"dir": args.out, "eps": args.eps, "sigma_override": args.sigma}
     try:
-        cp, digest = _load_config(args.config)
-        return _COMMANDS[args.command](cp, args, digest)
+        cfg = dataclasses.replace(
+            _load_config(args.config),
+            **{key: value for key, value in overrides.items() if value is not None})
+        return _COMMANDS[args.command](cfg, args)
     except LatticeWaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

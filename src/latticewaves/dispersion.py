@@ -56,6 +56,8 @@ _EPS = float(np.finfo(float).eps)
 # by comparing the fold with phase_speed_sq at every sample for calogero_moser
 # a = 3.5/4/6, nnn g = 1, classical FPUT and finite_range [1, 0, 0.3]
 _FOLD_PHASE_CUT = 0.6
+_K_STAR_CANDIDATES = (0.5, 1.0, 1.5, 2.0)  # k* values certify_type1 tries, in order
+_MU_SAFETY = 1.2  # factor on the sampled mu* of condition (iii)
 
 
 def _sinc(y):
@@ -364,8 +366,7 @@ def _sup_enclosure(model, k, lam, k_star):
     return max(inside, 4.0 * a0 / k[-1] ** 2)
 
 
-def certify_type1(model, k_max=4.0 * math.pi, n_samples=4096,
-                  k_star_candidates=(0.5, 1.0, 1.5, 2.0), safety=1.2):
+def certify_type1(model, k_max=4.0 * math.pi, n_samples=4096):
     """Grid-based certification of the type I conditions.
 
     lambda is sampled on linspace(0, k_max, n_samples + 1): by the folded
@@ -406,7 +407,7 @@ def certify_type1(model, k_max=4.0 * math.pi, n_samples=4096,
     sigma_fit = sigma = 2.0
     cond3 = False
     if cond2:
-        for cand in k_star_candidates:
+        for cand in _K_STAR_CANDIDATES:
             fit = _fit_exponent(tr, cand / 50.0, cand, 48)
             if fit is None:
                 sigma_fit, s_cert = 2.0, 2.0
@@ -418,7 +419,7 @@ def certify_type1(model, k_max=4.0 * math.pi, n_samples=4096,
             kd = np.linspace(cand / 400.0, cand, 400)
             t1d, t2d = tr.t1_t2(kd)
             t2d = np.abs(t2d)
-            mu2 = safety * float(np.max(t2d / np.abs(kd) ** (2.0 + s_cert)))
+            mu2 = _MU_SAFETY * float(np.max(t2d / np.abs(kd) ** (2.0 + s_cert)))
             muq = float(np.min(-t1d / kd ** 2))
             if muq > 0.0 and mu2 <= muq:
                 k_star, mu_star, mu_quad = cand, mu2, muq

@@ -50,7 +50,8 @@ from .spectral import Field, apply_multiplier, project_even
 
 __all__ = ["moving_average", "averaging_defect", "LongWaveOperators"]
 
-_M_APPLY_DEFAULT = 512  # per-m FFT sums get expensive beyond this
+_M_APPLY = 512          # per-m FFT sums get expensive beyond this
+_EPS_MAX = 0.5          # largest eps a context accepts
 _SOLVE_RTOL = 1e-11     # accepted relative residual of a linearized solve
 _REFINE_STEPS = 2       # band-solve refinements before a solve gives up
 
@@ -107,18 +108,17 @@ class LongWaveOperators:
     b*V*W, the linear operator its constant-coefficient limit, and the
     cubic remainder vanishes (used by the independent fixed-point oracle).
 
-    ``m_apply`` truncates the per-m field sums (quadratic/cubic operators);
-    it defaults to min(M, 512) and the neglected coefficient mass is kept on
-    ``quadratic_tail_bound`` so consumers can account for it.  The linear
-    multipliers always use the model's full coefficient table plus certified
-    tail corrections.
+    The per-m field sums (quadratic/cubic operators) run over
+    ``m_apply = min(M, 512)`` ranges and the neglected coefficient mass is
+    kept on ``quadratic_tail_bound`` so consumers can account for it.  The
+    linear multipliers always use the model's full coefficient table plus
+    certified tail corrections.  eps must lie in [0, 0.5].
     """
 
-    def __init__(self, profile, grid, eps, sigma=None, m_apply=None,
-                 eps_max=0.5):
+    def __init__(self, profile, grid, eps, sigma=None):
         model = profile.model
-        if eps < 0.0 or eps > eps_max:
-            raise ConfigError(f"eps={eps} outside (0, eps_max={eps_max}]")
+        if eps < 0.0 or eps > _EPS_MAX:
+            raise ConfigError(f"eps={eps} outside [0, {_EPS_MAX}]")
         if profile.lambda_dd0 >= 0.0:
             raise CertificationError(
                 "wrong dispersion type: lambda''(0) >= 0 admits no "
@@ -131,7 +131,7 @@ class LongWaveOperators:
         self.grid = grid
         self.eps = float(eps)
         self.sigma = float(profile.sigma if sigma is None else sigma)
-        self.m_apply = int(min(model.M, m_apply or _M_APPLY_DEFAULT))
+        self.m_apply = int(min(model.M, _M_APPLY))
         self._cut = grid.N // 3 + 1  # first zeroed rfft bin (2/3 rule)
 
         self.c0_sq = profile.c0_sq
@@ -225,13 +225,11 @@ class LongWaveOperators:
             return self.quadratic_limit(V, W)
         vh = self._hat(V)
         wh = vh if W is V else self._hat(W)
-        out_hat = np.zeros_like(vh)
-        for lo, hi in self._chunks():
-            stack = self._sinc_stack[lo:hi]
-            av = np.fft.irfft(stack * vh, n=self.grid.N)
-            aw = av if W is V else np.fft.irfft(stack * wh, n=self.grid.N)
-            ph = self._product_hat(av * aw)
-            out_hat += np.sum(self._q_weights[lo:hi] * stack * ph, axis=0)
+        stack = self._sinc_stack
+        av = np.fft.irfft(stack * vh, n=self.grid.N)
+        aw = av if W is V else np.fft.irfft(stack * wh, n=self.grid.N)
+        ph = self._product_hat(av * aw)
+        out_hat = np.sum(self._q_weights * stack * ph, axis=0)
         return self._even(np.fft.irfft(out_hat, n=self.grid.N))
 
     def quadratic_limit(self, V, W):
@@ -249,20 +247,12 @@ class LongWaveOperators:
         if self.eps == 0.0:
             return Field.zero(self.grid)
         wh = self._hat(W)
-        out_hat = np.zeros_like(wh)
-        e2 = self.eps ** 2
-        for lo, hi in self._chunks():
-            stack = self._sinc_stack[lo:hi]
-            aw = np.fft.irfft(stack * wh, n=self.grid.N)
-            eta = e2 * self._m_col[lo:hi] * aw
-            psi = self.model.psi_prime(self._m_col[lo:hi], eta)
-            ph = self._product_hat(psi)
-            out_hat += np.sum(self._m_col[lo:hi] * stack * ph, axis=0)
+        stack = self._sinc_stack
+        aw = np.fft.irfft(stack * wh, n=self.grid.N)
+        eta = self.eps ** 2 * self._m_col * aw
+        ph = self._product_hat(self.model.psi_prime(self._m_col, eta))
+        out_hat = np.sum(self._m_col * stack * ph, axis=0)
         return self._even(np.fft.irfft(out_hat, n=self.grid.N) / self.eps ** 6)
-
-    def _chunks(self, size=1024):
-        for lo in range(0, self.m_apply, size):
-            yield lo, min(lo + size, self.m_apply)
 
     # -- correction-equation pieces ------------------------------------------------
 
@@ -315,13 +305,10 @@ class LongWaveOperators:
         if self._aw0 is None:
             w0h = self._hat(self.background)
             self._aw0 = np.fft.irfft(self._sinc_stack * w0h, n=self.grid.N)
-        vh = self._hat(V)
-        out_hat = np.zeros_like(vh)
-        for lo, hi in self._chunks():
-            stack = self._sinc_stack[lo:hi]
-            av = np.fft.irfft(stack * vh, n=self.grid.N)
-            ph = self._product_hat(self._aw0[lo:hi] * av)
-            out_hat += np.sum(self._q_weights[lo:hi] * stack * ph, axis=0)
+        stack = self._sinc_stack
+        av = np.fft.irfft(stack * self._hat(V), n=self.grid.N)
+        ph = self._product_hat(self._aw0 * av)
+        out_hat = np.sum(self._q_weights * stack * ph, axis=0)
         return self._even(np.fft.irfft(out_hat, n=self.grid.N))
 
     def linearized_solve(self, F):

@@ -382,14 +382,14 @@ def _shifted(reference_fft, kappa, shift, J):
 
 
 def run_and_verify(sol, J, T, dt=None, j_c=None, m_force=None,
-                   checkpoints=100, seam_guard=None):
+                   checkpoints=100):
     """Integrate the planted wave to time T and measure its fidelity.
 
     Tracks the strain-pulse extremum (quadratic interpolation), fits
     position against time for the speed, compares the translated initial
     strain with the evolved one for the shape error, and monitors the
     relative energy drift.  Stops early with a partial report if the pulse
-    approaches the periodization seam.
+    comes within 0.5 L / eps sites of the ring's seam.
     """
     ctx = sol.ctx
     c0 = math.sqrt(ctx.c0_sq)
@@ -399,8 +399,7 @@ def run_and_verify(sol, J, T, dt=None, j_c=None, m_force=None,
         raise ConfigError(f"dt={dt} exceeds stability heuristic 0.1/c0")
     state = init_from_wave(sol, J, j_c=j_c, m_force=m_force)
     sign = math.copysign(1.0, -1.5 * ctx.lambda_dd0 / (2.0 * ctx.b))
-    if seam_guard is None:
-        seam_guard = int(0.5 * ctx.grid.L / max(sol.eps, 1e-6))
+    guard = int(0.5 * ctx.grid.L / max(sol.eps, 1e-6))
 
     r0 = state.strain()
     r0_fft = np.fft.fft(r0)
@@ -435,7 +434,7 @@ def run_and_verify(sol, J, T, dt=None, j_c=None, m_force=None,
             err = float(np.linalg.norm(ref - r)) / max(r0_norm, 1e-300)
             shape_err = max(shape_err, err)
             trajectory.append((state.t, pos, float(np.max(sign * r)), e))
-            if (pos % J) > J - seam_guard:
+            if (pos % J) > J - guard:
                 early = True
                 break
     fit = np.polyfit(times, positions, 1)

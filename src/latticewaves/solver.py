@@ -192,7 +192,7 @@ class SweepReport:
 
 
 def scaling_sweep(profile, grid, eps_list, sigma=None, tol=1e-12,
-                  max_iter=50, m_apply=None, eps_max=0.5, workers=1):
+                  max_iter=50, workers=1):
     """Solve along ``eps_list`` and fit the correction scaling exponent.
 
     Records ||W_eps - W0||_{H^1} per eps and the least-squares log-log
@@ -208,8 +208,7 @@ def scaling_sweep(profile, grid, eps_list, sigma=None, tol=1e-12,
         raise SolverError("scaling sweep needs at least 5 eps values")
 
     def one(eps):
-        ctx = LongWaveOperators(profile, grid, eps, sigma=sigma,
-                                m_apply=m_apply, eps_max=eps_max)
+        ctx = LongWaveOperators(profile, grid, eps, sigma=sigma)
         try:
             sol = solve_contraction(ctx, tol=tol, max_iter=max_iter)
             return (sobolev_norm(sol.W - ctx.background, 1.0),

@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
+_DROP_BELOW = 1e-17  # relative spectral magnitude ``evaluate`` skips
+
 __all__ = [
     "Grid", "Field", "apply_multiplier", "sobolev_norm", "project_even",
     "derivative", "mean_value", "antiderivative_mean_free", "evaluate",
@@ -187,17 +189,17 @@ def antiderivative_mean_free(field):
     return Field(field.grid, out, even=False)
 
 
-def evaluate(field, x_out, drop_below=1e-17):
+def evaluate(field, x_out):
     """Evaluate the trigonometric interpolant of F at arbitrary points.
 
     Exact for band-limited data; modes with relative magnitude below
-    ``drop_below`` are skipped (profile spectra decay to machine zero well
+    ``_DROP_BELOW`` are skipped (profile spectra decay to machine zero well
     before the Nyquist bin, so this cuts the cost by ~3x).
     """
     grid = field.grid
     coeffs = np.fft.rfft(field.values) / grid.N
     scale = np.max(np.abs(coeffs))
-    keep = np.nonzero(np.abs(coeffs) > drop_below * max(scale, 1e-300))[0]
+    keep = np.nonzero(np.abs(coeffs) > _DROP_BELOW * max(scale, 1e-300))[0]
     x_out = np.atleast_1d(np.asarray(x_out, dtype=float))
     # series in exp(i k (x + L)); the grid starts at x = -L
     phase = np.exp(1j * np.outer(x_out + grid.L, grid.k[keep]))

@@ -1,14 +1,15 @@
 """Command-line pipeline: exit codes, artifacts, provenance, determinism."""
 
-import configparser
+import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import latticewaves as lw
-from latticewaves.cli import _build_from_config, _grid_from_config, _load_config, main
+from latticewaves.cli import _TABLE, RunConfig, _build_model, _load_config, main
 
 NNN_CONFIG = """\
 [model]
@@ -28,6 +29,7 @@ tol = 1e-12
 max_iter = 50
 method = {method}
 eps_list = 0.4,0.28,0.2,0.14,0.1
+workers = {workers}
 
 [simulate]
 J = 2048
@@ -44,6 +46,7 @@ def _write(tmp_path, **kw):
     cfg = tmp_path / "run.ini"
     kw.setdefault("g", "1.0")
     kw.setdefault("method", "contraction")
+    kw.setdefault("workers", "1")
     kw.setdefault("out", str(tmp_path / "out"))
     cfg.write_text(NNN_CONFIG.format(**kw))
     return cfg
@@ -96,6 +99,10 @@ def test_sweep(tmp_path):
     lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert lines[1] == "eps,diff_H1,residual,iterations"
     assert len(lines) == 5 + 2
+    # thread-parallel solves write the serial rows byte for byte
+    cfg2 = _write(tmp_path, workers="2", out=str(tmp_path / "out2"))
+    assert main(["sweep", "--config", str(cfg2), "--quiet"]) == 0
+    assert (tmp_path / "out2" / "sweep.csv").read_text().splitlines()[1:] == lines[1:]
 
 
 def test_simulate(tmp_path):
@@ -155,16 +162,14 @@ def test_cm_lambda_csv_matches_series(tmp_path):
     k = np.linspace(0.0, 4.0 * np.pi, 1024)
     assert [line.split(",")[0] for line in lines] == [f"{v:.17g}" for v in k]
     lam = np.array([float(line.split(",")[1]) for line in lines])
-    model = _build_from_config(_load_config(cfg)[0])
+    model = _build_model(_load_config(cfg))
     ref = lw.phase_speed_sq(model, k)
     assert np.max(np.abs(lam - ref)) <= 5e-14 * model.sum_alpha_m2
 
 
 @pytest.mark.parametrize("a", [3.5, 4.0])
 def test_cm_default_radius_matches_library(a):
-    cp = configparser.ConfigParser()
-    cp.read_string(f"[model]\nfamily = calogero_moser\na = {a}\n")
-    model = _build_from_config(cp)
+    model = _build_model(RunConfig(family="calogero_moser", a=a))
     assert model.delta_star == lw.PotentialSpec.calogero_moser(a).delta_star
 
 
@@ -172,11 +177,18 @@ def test_readme_config_accepted(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cfg = tmp_path / "readme.ini"
     cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
-    cp, _ = _load_config(str(cfg))
+    run = _load_config(str(cfg))
     # inline "; ..." comments are stripped from the values
-    assert cp["model"].getfloat("a") == 4.0
-    assert _grid_from_config(cp).N == 2048
-    assert cp["simulate"].getint("J") == 4096
+    assert (run.a, run.N, run.J) == (4.0, 2048, 4096)
+    # the block lists every key, set or commented out, and no other
+    listed, section = {}, None
+    for line in cfg.read_text().splitlines():
+        if line.startswith("["):
+            section = line[1:line.index("]")]
+            listed[section] = []
+        elif match := re.match(r";?\s*(\w+)\s*=", line):
+            listed[section].append(match.group(1))
+    assert listed == {name: list(keys) for name, keys in _TABLE.items()}
     assert main(["plot", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--quiet"]) == 0
 
@@ -202,3 +214,43 @@ def test_missing_model_key_rejected(tmp_path, capsys, body, family, key):
     assert main(["plot", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert family in err and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("extra, words", [
+    ("[solver]\nmethod = newton\n",
+     ("[solver]", "method", "newton", "contraction | petviashvili | both")),
+    ("[grid]\nN = abc\n", ("[grid]", "N", "abc")),
+    ("[model]\nfamily = toda\n", ("[model]", "family", "toda", "finite_range")),
+    ("[model]\na = 4\n[model]\n", ("cannot parse", "'model' already exists")),
+])
+def test_bad_config_value_rejected(tmp_path, capsys, extra, words):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(extra)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in words), err
+
+
+def test_config_defaults_match_library():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    run, spec = RunConfig(), lw.PotentialSpec
+    pairs = [
+        ("tol", default(lw.solve_contraction, "tol")),
+        ("tol", default(lw.scaling_sweep, "tol")),
+        ("max_iter", default(lw.solve_contraction, "max_iter")),
+        ("max_iter", default(lw.scaling_sweep, "max_iter")),
+        ("workers", default(lw.scaling_sweep, "workers")),
+        ("trunc_tol", default(lw.build_model, "trunc_tol")),
+        ("L", lw.Grid.__dataclass_fields__["L"].default),
+        ("N", lw.Grid.__dataclass_fields__["N"].default),
+        ("checkpoints", default(lw.run_and_verify, "checkpoints")),
+        ("dt", default(lw.run_and_verify, "dt")),
+        ("m_force", default(lw.run_and_verify, "m_force")),
+        ("beta1", default(spec.nnn, "beta1")),
+        ("beta1", default(spec.classical_fput, "beta1")),
+        ("beta2", default(spec.nnn, "beta2")),
+        ("alpha1", default(spec.classical_fput, "alpha1")),
+    ]
+    assert [(key, getattr(run, key)) for key, _ in pairs] == pairs

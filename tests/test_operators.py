@@ -102,7 +102,7 @@ class TestLinearOperator:
         assert np.max(np.abs(gap)) < 1e-8
 
     def test_not_certified_at_huge_eps(self, prof_nnn1, grid):
-        with pytest.raises(lw.ConfigError):
+        with pytest.raises(lw.ConfigError, match=r"eps=0\.9 outside \[0, 0\.5\]"):
             lw.LongWaveOperators(prof_nnn1, grid, 0.9)
 
     def test_wrong_type_rejected(self, grid):
@@ -187,7 +187,7 @@ class TestCubic:
         assert max(norms) / min(norms) < 3.0
 
     def test_domain_violation_names_range(self, prof_cm4, grid):
-        ctx = lw.LongWaveOperators(prof_cm4, grid, 0.5, eps_max=0.5)
+        ctx = lw.LongWaveOperators(prof_cm4, grid, 0.5)
         big = lw.Field(grid, 10.0 / np.cosh(0.5 * grid.x) ** 2, even=True)
         with pytest.raises(lw.DomainError, match="m="):
             ctx.cubic(big)
