@@ -108,7 +108,11 @@ def init_from_wave(sol, J, j_c=None, m_force=None):
         raise ConfigError(f"lattice too short: eps*J = {eps * J} < 4L = {4 * grid.L}")
     if j_c is None:
         j_c = J // 4
-    m_force = int(m_force or min(ctx.model.M, 64))
+    if m_force is None:
+        m_force = min(ctx.model.M, 64)
+    elif m_force < 1:
+        raise ConfigError(f"m_force={m_force} must be >= 1")
+    m_force = int(m_force)
 
     xi = eps * (np.arange(J, dtype=float) - float(j_c))
     w_mean = mean_value(sol.W)
@@ -391,6 +395,8 @@ def run_and_verify(sol, J, T, dt=None, j_c=None, m_force=None,
     relative energy drift.  Stops early with a partial report if the pulse
     comes within 0.5 L / eps sites of the ring's seam.
     """
+    if T <= 0.0:
+        raise ConfigError(f"T={T} must be > 0")
     ctx = sol.ctx
     c0 = math.sqrt(ctx.c0_sq)
     if dt is None:

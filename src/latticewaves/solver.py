@@ -15,18 +15,25 @@ correction V solves the fixed-point equation
     V = L^-1 B^-1 R + eps^sigma L^-1 B^-1 Q(V, V) + eps^2 L^-1 B^-1 N(V)
 
 iterated from V = 0 with even projection each step; for small eps the map
-contracts on a ball and the iteration is self-certifying through the
-residual of the traveling-wave equation.  A Petviashvili iteration on the
-full equation, sharing none of the contraction structure, serves as an
-independent oracle.
+G(V) given by the right-hand side contracts on a ball and the iteration is
+self-certifying through the residual of the traveling-wave equation.  The
+iterates are Anderson-mixed (type II, Walker & Ni, SIAM J. Numer. Anal. 49,
+2011): the next V combines G(V) over the last ``_ANDERSON_DEPTH`` steps
+with the weights that minimize the combined residual G(V) - V in the least
+squares, which cuts the steps at a = 3.5 (sigma = 1/2, the slowest
+contraction) about in half.  A step whose plain increment ||G(V) - V||
+fails to shrink drops the history and falls back to the plain step
+V <- G(V).  A Petviashvili iteration on the full equation, sharing none of
+the contraction structure, serves as an independent oracle.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 from .operators import LongWaveOperators
 from .spectral import Field, project_even, sobolev_norm
 
@@ -34,6 +41,8 @@ __all__ = [
     "WaveSolution", "kdv_profile", "wave_speed_sq", "residual",
     "solve_contraction", "solve_petviashvili", "scaling_sweep", "SweepReport",
 ]
+
+_ANDERSON_DEPTH = 5  # residual differences the contraction mixes over
 
 
 def kdv_profile(ctx):
@@ -69,6 +78,7 @@ class WaveSolution:
     iterations: int = 0
     method: str = ""
     increments: tuple = ()
+    plain_steps: int = 0    # mixed steps the safeguard replaced by G(V)
 
     @property
     def correction_norm(self):
@@ -82,33 +92,77 @@ class WaveSolution:
             "c_eps_sq": self.c_eps_sq,
             "residual_H1": self.residual_H1,
             "iterations": self.iterations,
+            "plain_steps": self.plain_steps,
             "correction_H1": self.correction_norm,
             "family": self.ctx.model.family,
         }
 
 
-def _package(ctx, V, iterations, method, increments=()):
+def _package(ctx, V, iterations, method, increments=(), plain_steps=0):
     W = ctx.background + ctx.eps ** ctx.sigma * V
     return WaveSolution(
         ctx=ctx, eps=ctx.eps, sigma=ctx.sigma, c_eps_sq=ctx.speed_sq,
         W=W, V=V, residual_H1=residual(ctx, W), iterations=iterations,
-        method=method, increments=tuple(increments),
+        method=method, increments=tuple(increments), plain_steps=plain_steps,
     )
 
 
-def solve_contraction(ctx, tol=1e-12, max_iter=50):
-    """Fixed-point iteration for the correction V, started from V = 0.
+def _check_max_iter(max_iter):
+    if max_iter < 1:
+        raise ConfigError(f"max_iter={max_iter} must be >= 1")
 
-    Stops when the H^1 increment drops below ``tol``.  Divergence (iterate
-    norm exceeding 10x the first iterate, which for small eps bounds the
-    contraction ball) raises SolverError flagging eps as too large, as does
-    exhausting ``max_iter``.  Every outer step solves with the same band
-    factor of L_eps, built once for the loop and dropped after it.
+
+class _Anderson:
+    """Type-II Anderson mixing for a fixed point x = G(x) on flat arrays.
+
+    ``step(x, g)`` takes an iterate and g = G(x) and returns the next
+    iterate g - (dX + dF) gamma, where dX and dF hold the last
+    ``_ANDERSON_DEPTH`` differences of iterates and of residuals f = g - x,
+    and gamma minimizes ||f - dF gamma||_2.  With no differences yet the
+    step is plain: g.  A fresh mixer starts a new history.
     """
+
+    def __init__(self):
+        self._dx = deque(maxlen=_ANDERSON_DEPTH)
+        self._df = deque(maxlen=_ANDERSON_DEPTH)
+        self._last = None
+
+    def step(self, x, g):
+        f = g - x
+        if self._last is not None:
+            self._dx.append(x - self._last[0])
+            self._df.append(f - self._last[1])
+        self._last = (x, f)
+        if not self._df:
+            return g
+        dF = np.column_stack(self._df)
+        gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+        return g - (np.column_stack(self._dx) + dF) @ gamma
+
+
+def solve_contraction(ctx, tol=1e-12, max_iter=50):
+    """Anderson-mixed fixed-point iteration for the correction V from V = 0.
+
+    Each step evaluates G(V) = L^-1 B^-1 [R + eps^sigma Q(V, V)
+    + eps^2 N(V)], projected even, and records the plain H^1 increment
+    ||G(V) - V||; it returns G(V) once that drops below ``tol``, so
+    ``iterations`` counts evaluations of G.  Otherwise the next V mixes
+    G over the last ``_ANDERSON_DEPTH`` steps (``_Anderson``).  Safeguard:
+    when the increment does not drop below the previous step's, the history
+    is dropped and the step is the plain V <- G(V); ``plain_steps`` counts
+    these.  Divergence (the norm of G(V) exceeding 10x the first one, which
+    for small eps bounds the contraction ball) raises SolverError flagging
+    eps as too large, as does exhausting ``max_iter`` (>= 1, else
+    ConfigError).  Every step solves with the same band factor of L_eps,
+    built once for the loop and dropped after it.
+    """
+    _check_max_iter(max_iter)
     base = ctx.linear_inv(ctx.residual_forcing())
     V = Field.zero(ctx.grid)
+    mixer = _Anderson()
     first_norm = None
     increments = []
+    plain_steps = 0
     with ctx.factored():
         for n in range(1, max_iter + 1):
             rhs = base
@@ -116,10 +170,10 @@ def solve_contraction(ctx, tol=1e-12, max_iter=50):
                 rhs = rhs + ctx.linear_inv(
                     ctx.eps ** ctx.sigma * ctx.quadratic(V, V)
                     + ctx.eps ** 2 * ctx.cubic_shift(V))
-            V_new = project_even(ctx.linearized_solve(rhs))
-            inc = sobolev_norm(V_new - V, 1.0)
+            G = project_even(ctx.linearized_solve(rhs))
+            inc = sobolev_norm(G - V, 1.0)
             increments.append(inc)
-            norm = sobolev_norm(V_new, 1.0)
+            norm = sobolev_norm(G, 1.0)
             if first_norm is None:
                 first_norm = norm
             elif norm > 10.0 * first_norm + 1e-12:
@@ -128,9 +182,13 @@ def solve_contraction(ctx, tol=1e-12, max_iter=50):
                     f"{norm:.3e} exceeds 10x first iterate {first_norm:.3e} "
                     f"(eps too large)"
                 )
-            V = V_new
             if inc < tol:
-                return _package(ctx, V, n, "contraction", increments)
+                return _package(ctx, G, n, "contraction", increments,
+                                plain_steps)
+            if n > 1 and inc >= increments[-2]:
+                plain_steps += 1
+                mixer = _Anderson()
+            V = project_even(G.with_values(mixer.step(V.values, G.values)))
     raise SolverError(
         f"contraction did not converge in {max_iter} iterations; "
         f"last increment {increments[-1]:.3e}"
@@ -206,6 +264,7 @@ def scaling_sweep(profile, grid, eps_list, sigma=None, tol=1e-12,
     """
     if len(eps_list) < 5:
         raise SolverError("scaling sweep needs at least 5 eps values")
+    _check_max_iter(max_iter)
 
     def one(eps):
         ctx = LongWaveOperators(profile, grid, eps, sigma=sigma)

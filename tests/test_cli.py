@@ -231,6 +231,20 @@ def test_bad_config_value_rejected(tmp_path, capsys, extra, words):
     assert all(word in err for word in words), err
 
 
+@pytest.mark.parametrize("command, old, new, words", [
+    ("solve", "max_iter = 50", "max_iter = 0", ("max_iter=0",)),
+    ("simulate", "T = 10", "T = -1", ("T=-1",)),
+    ("simulate", "checkpoints = 20", "checkpoints = 20\nm_force = 0", ("m_force=0",)),
+    ("simulate", "checkpoints = 20", "checkpoints = 20\nm_force = -3", ("m_force=-3",)),
+])
+def test_out_of_range_value_rejected(tmp_path, capsys, command, old, new, words):
+    cfg = _write(tmp_path)
+    cfg.write_text(cfg.read_text().replace(old, new))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in words), err
+
+
 def test_config_defaults_match_library():
     def default(fn, name):
         return inspect.signature(fn).parameters[name].default

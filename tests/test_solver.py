@@ -4,7 +4,29 @@ import numpy as np
 import pytest
 
 import latticewaves as lw
-from latticewaves.spectral import derivative, sobolev_norm
+from latticewaves.solver import _Anderson
+from latticewaves.spectral import derivative, project_even, sobolev_norm
+
+
+def _picard(ctx, tol=1e-12, max_iter=50):
+    """Plain fixed-point iteration V <- G(V) from V = 0: the unmixed
+    reference for solve_contraction, same map and same stop."""
+    base = ctx.linear_inv(ctx.residual_forcing())
+    V = lw.Field.zero(ctx.grid)
+    with ctx.factored():
+        for _ in range(max_iter):
+            G = project_even(ctx.linearized_solve(base + ctx.linear_inv(
+                ctx.eps ** ctx.sigma * ctx.quadratic(V, V)
+                + ctx.eps ** 2 * ctx.cubic_shift(V))))
+            if sobolev_norm(G - V, 1.0) < tol:
+                return G
+            V = G
+    raise AssertionError(f"Picard did not converge in {max_iter} steps")
+
+
+@pytest.fixture(scope="module")
+def sol_cm35_04(prof_cm35, grid):
+    return lw.solve_contraction(lw.LongWaveOperators(prof_cm35, grid, 0.4))
 
 
 class TestLeadingOrder:
@@ -92,9 +114,62 @@ class TestContraction:
         with pytest.raises(lw.SolverError, match="did not converge"):
             lw.solve_contraction(ctx_nnn1, tol=1e-15, max_iter=2)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, ctx_nnn1, prof_nnn1, grid, max_iter):
+        with pytest.raises(lw.ConfigError, match=f"max_iter={max_iter}"):
+            lw.solve_contraction(ctx_nnn1, max_iter=max_iter)
+        with pytest.raises(lw.ConfigError, match=f"max_iter={max_iter}"):
+            lw.scaling_sweep(prof_nnn1, grid, [0.4, 0.28, 0.2, 0.14, 0.1],
+                             max_iter=max_iter)
+
+    @pytest.mark.parametrize("case", ["a=3.5 eps=0.4", "a=4 eps=0.1", "nnn eps=0.1"])
+    def test_matches_plain_picard(self, case, sol_cm35_04, sol_cm4, sol_nnn1):
+        sol = {"a=3.5": sol_cm35_04, "a=4": sol_cm4, "nnn": sol_nnn1}[case.split()[0]]
+        assert sobolev_norm(sol.V - _picard(sol.ctx), 1.0) <= 1e-12
+
+    def test_cm35_steps_halved(self, sol_cm35_04):
+        # the plain iteration needs 21 evaluations of G here
+        assert sol_cm35_04.iterations <= 12
+        assert sol_cm35_04.residual_H1 <= 1e-8
+
+    def test_to_dict_reports_plain_steps(self, sol_cm4):
+        assert sol_cm4.to_dict()["plain_steps"] == sol_cm4.plain_steps >= 0
+
+    def test_safeguard_replaces_bad_mixed_steps(self, monkeypatch, ctx_nnn1, sol_nnn1):
+        # a mixer that overshoots every mixed step makes the increment grow;
+        # the safeguard must restart it and still reach the same fixed point
+        step = _Anderson.step
+
+        def overshoot(self, x, g):
+            out = step(self, x, g)
+            return out if not self._df else x + 3.0 * (out - x)
+
+        monkeypatch.setattr(_Anderson, "step", overshoot)
+        sol = lw.solve_contraction(ctx_nnn1)
+        assert sol.plain_steps >= 1
+        assert sobolev_norm(sol.V - sol_nnn1.V, 1.0) <= 1e-12
+
     def test_negative_profile_power_law(self, sol_cm4):
         # power-law waves are depression waves; checked, not asserted fatal
         assert np.all(sol_cm4.W.values <= 1e-12)
+
+
+class TestAndersonMixing:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_affine_map_solved_in_dim_plus_one(self, dim):
+        # on G(x) = A x + b the mixed iterate after k + 1 evaluations is G of
+        # the k-th GMRES iterate (Walker & Ni 2011), exact once k = dim
+        rng = np.random.default_rng(dim)
+        A = rng.standard_normal((dim, dim))
+        A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+        b = rng.standard_normal(dim)
+        x_star = np.linalg.solve(np.eye(dim) - A, b)
+        mixer, x, plain = _Anderson(), np.zeros(dim), np.zeros(dim)
+        for _ in range(dim + 1):
+            x = mixer.step(x, A @ x + b)
+            plain = A @ plain + b
+        assert np.linalg.norm(x - x_star) <= 1e-10 * np.linalg.norm(x_star)
+        assert np.linalg.norm(plain - x_star) > 1e-3 * np.linalg.norm(x_star)
 
 
 class TestPetviashvili:
