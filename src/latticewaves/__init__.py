@@ -19,8 +19,8 @@ from .errors import (CertificationError, ConfigError, DegeneracyError,
                      DomainError, LatticeWaveError, SolverError)
 from .operators import LongWaveOperators, averaging_defect, moving_average
 from .simulator import (LatticeState, VerificationReport, force,
-                        init_from_wave, run_and_verify, step_verlet,
-                        total_energy)
+                        init_from_wave, nonlinear_force, run_and_verify,
+                        step_split, step_verlet, total_energy)
 from .solver import (SweepReport, WaveSolution, kdv_profile, residual,
                      scaling_sweep, solve_contraction, solve_petviashvili,
                      wave_speed_sq)
@@ -39,8 +39,9 @@ __all__ = [
     "LongWaveOperators", "moving_average", "averaging_defect",
     "WaveSolution", "kdv_profile", "wave_speed_sq", "residual",
     "solve_contraction", "solve_petviashvili", "scaling_sweep", "SweepReport",
-    "LatticeState", "init_from_wave", "force", "step_verlet", "total_energy",
-    "run_and_verify", "VerificationReport",
+    "LatticeState", "init_from_wave", "force", "nonlinear_force",
+    "step_verlet", "step_split", "total_energy", "run_and_verify",
+    "VerificationReport",
     "LatticeWaveError", "DomainError", "DegeneracyError",
     "CertificationError", "SolverError", "ConfigError",
 ]

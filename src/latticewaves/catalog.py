@@ -401,6 +401,13 @@ class LatticeModel:
         law = self._law
         return law.alpha(m) * eta + law.beta(m) * eta * eta + law.psi_prime(m, eta)
 
+    def nonlinear_force_term(self, m, eta):
+        """beta eta^2 + psi'(eta): ``force_term`` without its linear part,
+        same domain convention."""
+        eta = np.asarray(eta, dtype=float)
+        law = self._law
+        return law.beta(m) * eta * eta + law.psi_prime(m, eta)
+
     def pair_energy(self, m, eta):
         """Phi_m(r* m + eta) - Phi_m(r* m), the gauge-fixed bond energy."""
         return self._law.pair_energy(m, np.asarray(eta, dtype=float))
@@ -431,23 +438,26 @@ class LatticeModel:
         """
         return self._law.series_length(rho)
 
-    def range_tail_bound(self, m_cut, rho):
+    def range_tail_bound(self, m_cut, rho, spread):
         """Bound on the force one site gets from all ranges m > m_cut.
 
-        Each bond beyond the cut has |eta| <= m rho (a sum of m strains of
-        size <= rho <= delta_star), so with the remainder bound
-        |psi_m'| <= gamma_m |eta|^3 both one-sided terms are at most
-        |alpha_m| m rho + |beta_m| (m rho)^2 + gamma_m (m rho)^3.  The
-        arrays cover m <= M and the tail bounds of the weighted sums the
-        rest (m^k <= m^(k+1) for m >= 1).
+        Each bond beyond the cut has |eta| <= x_m = min(m rho, spread): it
+        sums m strains of size <= rho <= delta_star, and it is the
+        difference of two displacements that lie within ``spread`` of each
+        other.  With the remainder bound |psi_m'| <= gamma_m |eta|^3 both
+        one-sided terms are at most |alpha_m| x_m + |beta_m| x_m^2 +
+        gamma_m x_m^3.  The arrays cover m <= M and the tail bounds of the
+        weighted sums the rest, with x_m <= m^k min(rho, spread) for
+        m >= 1, k >= 1.  ``spread = inf`` gives the bound from rho alone.
         """
         m = np.arange(m_cut + 1, self.M + 1, dtype=float)
-        x = m * rho
+        x = np.minimum(m * rho, spread)
         body = float(np.sum(np.abs(self.alpha[m_cut:]) * x
                             + np.abs(self.beta[m_cut:]) * x ** 2
                             + self.gamma[m_cut:] * x ** 3))
-        tail = (self.tail_alpha_m2 * rho + self.tail_beta_m3 * rho ** 2
-                + self.tail_gamma_m4 * rho ** 3)
+        y = min(rho, spread)
+        tail = (self.tail_alpha_m2 * y + self.tail_beta_m3 * y ** 2
+                + self.tail_gamma_m4 * y ** 3)
         return 2.0 * (body + tail)
 
 

@@ -112,6 +112,8 @@ def test_simulate(tmp_path):
     assert rep["speed_rel_error"] < 0.01
     assert rep["shape_error_max"] < 0.05
     assert rep["energy_drift"] < 1e-6
+    assert rep["integrator"] == "strang"
+    assert 0.0 < rep["omega_max_dt"] <= 0.5 * np.pi
     traj = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert traj[1] == "t,peak_position,peak_value,energy"
 
@@ -236,6 +238,9 @@ def test_bad_config_value_rejected(tmp_path, capsys, extra, words):
     ("simulate", "T = 10", "T = -1", ("T=-1",)),
     ("simulate", "checkpoints = 20", "checkpoints = 20\nm_force = 0", ("m_force=0",)),
     ("simulate", "checkpoints = 20", "checkpoints = 20\nm_force = -3", ("m_force=-3",)),
+    ("simulate", "checkpoints = 20", "checkpoints = 20\ndt = 0.7",
+     ("dt=0.7", "omega_max=2.5")),
+    ("simulate", "checkpoints = 20", "checkpoints = 20\ndt = 0", ("dt=0.0",)),
 ])
 def test_out_of_range_value_rejected(tmp_path, capsys, command, old, new, words):
     cfg = _write(tmp_path)

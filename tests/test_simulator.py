@@ -116,6 +116,10 @@ class TestForce:
             assert -grad == pytest.approx(f[j], rel=1e-6, abs=1e-9)
 
 
+STEPPERS = [pytest.param(lw.step_verlet, id="step_verlet"),
+            pytest.param(lw.step_split, id="step_split")]
+
+
 class TestVerlet:
     def test_flat_lattice_fixed_point(self, cm4):
         st = LatticeState(model=cm4, J=128, d=np.zeros(128), v=np.zeros(128),
@@ -130,27 +134,83 @@ class TestVerlet:
         lw.step_verlet(st, 0.02)
         assert np.max(np.abs(st.d - 0.01 - 0.5 * 0.02)) < 1e-15
 
-    def test_reversibility(self, state_nnn):
+    @pytest.mark.parametrize("step", STEPPERS)
+    def test_reversibility(self, state_nnn, step):
         st = state_nnn.copy()
         d0, v0 = st.d.copy(), st.v.copy()
-        lw.step_verlet(st, 0.02)
+        step(st, 0.02)
         st.v = -st.v
-        lw.step_verlet(st, 0.02)
+        step(st, 0.02)
         assert np.max(np.abs(st.d - d0)) < 1e-11
         assert np.max(np.abs(-st.v - v0)) < 1e-11
 
-    def test_local_error_third_order(self, state_nnn):
+    @pytest.mark.parametrize("step", STEPPERS)
+    def test_local_error_third_order(self, state_nnn, step):
         # Richardson: one 2h step vs two h steps differ at O(h^3)
         errs = []
         for h in (0.04, 0.02):
             one = state_nnn.copy()
-            lw.step_verlet(one, 2.0 * h)
+            step(one, 2.0 * h)
             two = state_nnn.copy()
-            lw.step_verlet(two, h)
-            lw.step_verlet(two, h)
+            step(two, h)
+            step(two, h)
             errs.append(np.max(np.abs(one.d - two.d)))
         ratio = errs[0] / errs[1]
         assert 6.0 < ratio < 10.5
+
+
+def _normal_modes(model, J, m_force, d0, v0, t):
+    """Closed-form flow of the harmonic ring d'' = -A d: A's eigenvectors."""
+    A = np.zeros((J, J))
+    for m in range(1, m_force + 1):
+        a = float(model.alpha_of(m))
+        for j in range(J):
+            A[j, j] += 2.0 * a
+            A[j, (j + m) % J] -= a
+            A[j, (j - m) % J] -= a
+    lam, Q = np.linalg.eigh(A)
+    w, grows = np.sqrt(np.abs(lam)), lam < 0.0
+    cos = np.where(grows, np.cosh(w * t), np.cos(w * t))
+    sinc = np.where(grows, np.sinh(w * t) / np.where(grows, w, 1.0),
+                    t * np.sinc(w * t / np.pi))
+    p0, q0 = Q.T @ d0, Q.T @ v0
+    return Q @ (cos * p0 + sinc * q0), Q @ (-lam * sinc * p0 + cos * q0)
+
+
+class TestSplit:
+    @pytest.mark.parametrize("alpha, dt", [
+        ([1.0, 0.3, 0.1, -0.05, 0.02, 0.01], None),  # default 0.4/c0
+        ([1.0, -0.4, 0.0, 0.0, 0.0, 0.0], 0.5),  # theta_mf < 0 near kappa = 0
+    ], ids=["stable", "growing"])
+    def test_harmonic_chain_step_is_exact(self, force_path, alpha, dt, rng):
+        # beta = gamma = 0: F_nl vanishes and one step is the linear flow
+        model = lw.build_model(lw.PotentialSpec.custom(alpha, [0.0] * 6, [0.0] * 6))
+        J, dt = 64, dt or 0.4 / math.sqrt(model.sum_alpha_m2)
+        st = LatticeState(model=model, J=J, d=0.1 * rng.standard_normal(J),
+                          v=0.1 * rng.standard_normal(J), m_force=6)
+        d_ref, v_ref = _normal_modes(model, J, 6, st.d, st.v, dt)
+        lw.step_split(st, dt)
+        assert st.force_paths == {force_path}
+        assert np.max(np.abs(st.d - d_ref)) <= 1e-12
+        assert np.max(np.abs(st.v - v_ref)) <= 1e-12
+
+    def test_agrees_with_fine_verlet(self, wave_nnn):
+        # planted wave, T = 20: the split at its default step against Verlet
+        # at 0.0125/c0.  Measured 9.1e-6 (strain) and 8.1e-6 (velocity);
+        # Verlet at its former default 0.05/c0 sits 1.9e-5 from the same
+        # reference.
+        c0, T = math.sqrt(wave_nnn.ctx.c0_sq), 20.0
+        runs = []
+        for step, factor in ((lw.step_split, 0.4), (lw.step_verlet, 0.0125)):
+            st = lw.init_from_wave(wave_nnn, 1024)
+            n = math.ceil(T * c0 / factor)
+            for _ in range(n):
+                step(st, T / n)
+            runs.append(st)
+        split, verlet = runs
+        r0 = float(np.max(np.abs(lw.init_from_wave(wave_nnn, 1024).strain())))
+        assert np.max(np.abs(split.strain() - verlet.strain())) <= 1.5e-5 * r0
+        assert np.max(np.abs(split.v - verlet.v)) <= 1.5e-5 * np.max(np.abs(verlet.v))
 
 
 class TestEnergy:
@@ -198,6 +258,26 @@ class TestRunAndVerify:
     def test_dt_stability_guard(self, wave_nnn):
         with pytest.raises(lw.ConfigError):
             lw.run_and_verify(wave_nnn, 1024, 5.0, dt=1.0)
+
+    def test_dt_guard_by_resonance(self, sol_cm4):
+        # omega_max = max sqrt(theta_mf) over the ring's wavenumbers, m <= 64
+        kappa = 2.0 * np.pi * np.arange(4096 // 2 + 1) / 4096
+        m = np.arange(1, 65)[:, None]
+        theta = 2.0 * np.sum(sol_cm4.ctx.model.alpha[:64, None]
+                             * (1.0 - np.cos(m * kappa)), axis=0)
+        omega_max = math.sqrt(float(np.max(theta)))
+        c0 = math.sqrt(sol_cm4.ctx.c0_sq)
+        assert omega_max <= 2.0 * c0  # alpha_m >= 0
+        limit = 0.5 * math.pi / omega_max
+        with pytest.raises(lw.ConfigError, match=r"omega_max=.*dt <= "):
+            lw.run_and_verify(sol_cm4, 4096, 1.0, dt=limit * (1.0 + 1e-6))
+        rep = lw.run_and_verify(sol_cm4, 4096, 0.2, dt=limit * (1.0 - 1e-6),
+                                checkpoints=2)
+        assert rep.omega_max_dt == pytest.approx(0.5 * math.pi, rel=1e-5)
+        rep = lw.run_and_verify(sol_cm4, 4096, 0.2, checkpoints=2)
+        assert rep.dt == pytest.approx(0.4 / c0, rel=1e-15)
+        assert rep.omega_max_dt == pytest.approx(omega_max * rep.dt, rel=1e-12)
+        assert rep.integrator == "strang"
 
     def test_early_stop_at_seam(self, wave_nnn):
         rep = lw.run_and_verify(wave_nnn, 1024, 400.0, checkpoints=400)
@@ -319,6 +399,11 @@ class TestForcePaths:
             assert -grad == pytest.approx(f[j], rel=1e-6, abs=1e-11)
 
 
+@pytest.fixture(scope="module")
+def wave_cm4_02(prof_cm4, grid):
+    return lw.solve_contraction(lw.LongWaveOperators(prof_cm4, grid, 0.2))
+
+
 class TestReportBounds:
     def test_nnn_run_reports_direct_path(self, wave_nnn):
         rep = lw.run_and_verify(wave_nnn, 1024, 2.0, checkpoints=4)
@@ -334,12 +419,29 @@ class TestReportBounds:
         force_scale = 2.0 * rep.strain_max * float(np.sum(
             sol_cm4.ctx.model.alpha[:64] * np.arange(1, 65)))
         assert 0.0 <= rep.series_bound <= 2.0 ** -53 * force_scale
-        # ranges beyond 64 neighbours bound: 2 sum_{m>64} alpha_m m rho + ...
+        # ranges beyond 64 neighbours bound:
+        # 2 sum_{m>64} alpha_m min(m rho, spread) + ...
         a = 4.0
-        lead = 2.0 * a * (a + 1.0) * rep.strain_max * sum(
-            m ** (-a - 1.0) for m in range(65, 5000))
+        lead = 2.0 * a * (a + 1.0) * sum(
+            m ** (-a - 2.0) * min(m * rep.strain_max, rep.spread_max)
+            for m in range(65, 5000))
         assert lead <= rep.range_tail_bound <= 1.1 * lead + 1e-20
         d = rep.to_dict()
         for key in ("force_path", "series_terms", "series_bound",
-                    "range_tail_bound", "strain_max"):
+                    "range_tail_bound", "strain_max", "spread_max",
+                    "integrator", "omega_max_dt"):
             assert d[key] == getattr(rep, key)
+
+    def test_range_tail_bound_uses_spread(self, wave_cm4_02):
+        # brute force over every stored range past the cut, m = 9..M
+        model = wave_cm4_02.ctx.model
+        rep = lw.run_and_verify(wave_cm4_02, 1024, 1.0, m_force=8, checkpoints=2)
+        st = lw.init_from_wave(wave_cm4_02, 1024, m_force=8)
+        j, tail = np.arange(st.J), np.zeros(st.J)
+        for start in range(9, model.M + 1, 256):
+            m = np.arange(start, min(start + 256, model.M + 1))[:, None]
+            g = model.force_term(m.astype(float), st.d[(j + m) % st.J] - st.d)
+            tail += np.sum(g - g[m - start, (j - m) % st.J], axis=0)
+        assert rep.spread_max < model.M * rep.strain_max
+        old = model.range_tail_bound(8, rep.strain_max, math.inf)
+        assert np.max(np.abs(tail)) <= rep.range_tail_bound < old
