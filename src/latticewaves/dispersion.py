@@ -30,7 +30,9 @@ The second-order Taylor remainder ``T2(k)`` is the quantity every operator
 estimate rests on; it suffers catastrophic cancellation when formed naively
 (three nearly equal numbers for small k), so it is assembled here from the
 per-term series ``g(y) = sinc^2(y/2) - 1 + y^2/12`` plus exact corrections
-for the truncated coefficient tail.
+for the truncated coefficient tail.  An operator context needs it on the
+progression k_j = j eps pi / L, where ``TaylorRemainders.t1_t2_progression``
+sums most rows by one chirp-z transform; certificates keep the series.
 """
 
 import math
@@ -39,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificationError, DomainError
+from .spectral import chirp_sum
 
 __all__ = [
     "dispersion_relation", "phase_speed_sq", "long_wave_curvature",
@@ -192,6 +195,9 @@ class TaylorRemainders:
     curvature is subtracted.  For the power-law family the explicit sum is
     extended adaptively until every requested k sits in the oscillatory
     regime of the tail.
+
+    ``t1_t2_progression`` gives the same values on k_j = j dk, with the
+    rows past mk = 2 above the fold's cut summed by one ``chirp_sum``.
     """
 
     model: object = field(repr=False)
@@ -204,35 +210,83 @@ class TaylorRemainders:
 
     def t1_t2(self, k):
         """Both remainders at k from one pass over the m-sums."""
-        model = self.model
         k = np.atleast_1d(np.asarray(k, dtype=float))
         out1, out2 = np.zeros_like(k), np.zeros_like(k)
         nz = k != 0.0
         if not np.any(nz):
             return out1, out2
         kk = k[nz]
-        ka = np.abs(kk)
-        m_eff = model.M
-        if model.infinite_range:
-            m_eff = int(min(max(model.M, math.ceil(8.0 / np.min(ka))), _M_EXT_CAP))
-        acc1, acc2 = np.zeros_like(kk), np.zeros_like(kk)
-        step = max(1, _CHUNK_BUDGET // max(1, kk.size))
-        for lo in range(0, m_eff, step):
-            hi = min(lo + step, m_eff)
+        m_eff = self._m_eff(np.min(np.abs(kk)))
+        acc1, acc2 = self._kernel_sums(np.abs(kk), m_eff)
+        self._add_tails(kk, m_eff, acc1, acc2)
+        out1[nz], out2[nz] = acc1, acc2
+        return out1, out2
+
+    def t1_t2_progression(self, dk, n):
+        """``t1_t2`` at k_j = j dk, j < n, dk > 0.
+
+        m_eff and the tail terms are those of ``t1_t2`` on the whole array
+        (set by k_1 = dk).  Points below ``_FOLD_PHASE_CUT``, where 1 - cos
+        cancels, take the kernel sum.  Above it, rows m <= m_s = ceil(2 /
+        k_first) take the kernels too (they reach y < 2, where g cancels
+        against y^2/12).  Rows m_s < m <= m_eff, where
+        alpha_m m^2 g1(mk) = 2 alpha_m (1 - cos mk) / k^2 - alpha_m m^2,
+        add 2 (A0 - C(k)) / k^2 - S2 to t1 and also k^2 S4 / 12 to t2, with
+        C(k) = sum alpha_m cos(mk) and A0, S2, S4 = sum alpha_m (1, m^2, m^4)
+        over those rows.
+        """
+        k = dk * np.arange(n, dtype=float)
+        out1, out2 = np.zeros(n), np.zeros(n)
+        m_eff = self._m_eff(dk)
+        cut = min(n, math.ceil(_FOLD_PHASE_CUT / dk))
+        out1[1:cut], out2[1:cut] = self._kernel_sums(k[1:cut], m_eff)
+        if cut < n:
+            kk = k[cut:]
+            m_s = min(m_eff, math.ceil(2.0 / kk[0]))
+            acc1, acc2 = self._kernel_sums(kk, m_s)
+            if m_s < m_eff:
+                m = np.arange(m_s + 1, m_eff + 1, dtype=float)
+                alpha = self.model.alpha_of(m)
+                c = chirp_sum(alpha, dk, n - cut, m0=m_s + 1, j0=cut).real
+                k2 = kk * kk
+                rows = 2.0 * (np.sum(alpha) - c) / k2 - np.sum(alpha * m * m)
+                acc1 += rows
+                acc2 += rows + k2 * np.sum(alpha * m * m * m * m) / 12.0
+            out1[cut:], out2[cut:] = acc1, acc2
+        self._add_tails(k[1:], m_eff, out1[1:], out2[1:])
+        return out1, out2
+
+    def _m_eff(self, k_min):
+        """Explicit rows: M, or for the power law enough that every
+        |k| >= k_min has m_eff |k| >= 8 (capped at _M_EXT_CAP)."""
+        model = self.model
+        if not model.infinite_range:
+            return model.M
+        return int(min(max(model.M, math.ceil(8.0 / k_min)), _M_EXT_CAP))
+
+    def _kernel_sums(self, ka, m_hi):
+        """sum_{m <= m_hi} alpha_m m^2 (g1, g)(m ka) at ka > 0."""
+        acc1, acc2 = np.zeros_like(ka), np.zeros_like(ka)
+        step = max(1, _CHUNK_BUDGET // max(1, ka.size))
+        for lo in range(0, m_hi, step):
+            hi = min(lo + step, m_hi)
             mc = np.arange(lo + 1, hi + 1, dtype=float)
-            w2 = model.alpha_of(mc) * mc * mc
+            w2 = self.model.alpha_of(mc) * mc * mc
             g1, g = _kernels(np.outer(mc, ka))
             acc1 += w2 @ g1
             acc2 += w2 @ g
+        return acc1, acc2
+
+    def _add_tails(self, kk, m_eff, acc1, acc2):
+        """Add the full-series terms beyond m_eff to acc1, acc2 in place."""
+        model = self.model
         tail2, tail4 = model.alpha_tail(2, m_eff), model.alpha_tail(4, m_eff)
-        osc = ka * m_eff >= 4.0
+        osc = np.abs(kk) * m_eff >= 4.0
         # oscillatory regime: tail kernels average to -1 (+ y^2/12 for t2);
         # sub-oscillatory (only reachable under the extension cap): quadratic
         # kernel approximation of the tail.
         acc1 += np.where(osc, -tail2, -kk * kk * tail4 / 12.0)
         acc2 += np.where(osc, -tail2 + kk * kk * tail4 / 12.0, 0.0)
-        out1[nz], out2[nz] = acc1, acc2
-        return out1, out2
 
 
 def taylor_remainders(model):

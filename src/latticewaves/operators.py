@@ -112,7 +112,9 @@ class LongWaveOperators:
     ``m_apply = min(M, 512)`` ranges and the neglected coefficient mass is
     kept on ``quadratic_tail_bound`` so consumers can account for it.  The
     linear multipliers always use the model's full coefficient table plus
-    certified tail corrections.  eps must lie in [0, 0.5].
+    certified tail corrections, evaluated on the grid's progression
+    eps k_j = j eps pi / L by ``TaylorRemainders.t1_t2_progression`` (one
+    chirp-z transform above 0.6 rad).  eps must lie in [0, 0.5].
     """
 
     def __init__(self, profile, grid, eps, sigma=None):
@@ -146,7 +148,8 @@ class LongWaveOperators:
             self._mult_b = self._mult_b0.copy()
             self._mult_bdiff = np.zeros_like(k)
         else:
-            t1, t2 = taylor_remainders(model).t1_t2(self.eps * k)
+            t1, t2 = taylor_remainders(model).t1_t2_progression(
+                self.eps * np.pi / grid.L, k.size)
             self._mult_b = half - t1 / self.eps ** 2
             self._mult_bdiff = -t2 / self.eps ** 2
         lo_bound = half * (1.0 - 1e-6)

@@ -67,7 +67,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .spectral import antiderivative_mean_free, evaluate, mean_value
+from .spectral import (antiderivative_mean_free, evaluate, evaluate_uniform,
+                       mean_value)
 
 __all__ = ["LatticeState", "init_from_wave", "force", "nonlinear_force",
            "step_verlet", "step_split", "total_energy", "run_and_verify",
@@ -141,9 +142,11 @@ def init_from_wave(sol, J, j_c=None, m_force=None):
     w_mean = mean_value(sol.W)
     total = w_mean * 2.0 * grid.L  # integral of W over the box
     u_per = antiderivative_mean_free(sol.W)
-    inside = np.abs(xi) < grid.L
+    inside = np.abs(xi) < grid.L  # one run of sites, xi[first] + eps t
+    first, count = int(np.argmax(inside)), int(np.count_nonzero(inside))
     u_vals = np.zeros(J)
-    u_vals[inside] = w_mean * xi[inside] + evaluate(u_per, xi[inside])
+    u_vals[inside] = w_mean * xi[inside] + evaluate_uniform(
+        u_per, xi[first], eps, count)
     plateau = float(evaluate(u_per, np.array([grid.L]))[0])
     u_vals[~inside] = np.sign(xi[~inside]) * w_mean * grid.L + plateau
 
@@ -151,7 +154,8 @@ def init_from_wave(sol, J, j_c=None, m_force=None):
     d = eps * (u_vals - ramp)
     v = np.zeros(J)
     c_eps = math.sqrt(sol.c_eps_sq)
-    v[inside] = -eps ** 2 * c_eps * evaluate(sol.W, xi[inside])
+    v[inside] = -eps ** 2 * c_eps * evaluate_uniform(
+        sol.W, xi[first], eps, count)
 
     state = LatticeState(model=ctx.model, J=J, d=d, v=v, t=0.0,
                          m_force=m_force, seam_jump=eps * total, center=j_c)

@@ -9,8 +9,13 @@ Discrete conventions: ``numpy.fft.rfft`` coefficients, wavenumbers
 ``k_j = pi j / L``; the Sobolev norm uses the Parseval normalization that
 makes the s = 0 norm equal the grid L^2 norm, so that all residuals and
 norm ratios are convention-independent.
+
+Sums over an arithmetic progression of phases, such as the interpolant on
+equispaced points or a cosine series at equispaced wavenumbers, go through
+``chirp_sum``, a chirp-z transform by Bluestein's FFT convolution.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +28,7 @@ _DROP_BELOW = 1e-17  # relative spectral magnitude ``evaluate`` skips
 __all__ = [
     "Grid", "Field", "apply_multiplier", "sobolev_norm", "project_even",
     "derivative", "mean_value", "antiderivative_mean_free", "evaluate",
-    "field_to_csv", "spectrum_to_csv",
+    "evaluate_uniform", "chirp_sum", "field_to_csv", "spectrum_to_csv",
 ]
 
 
@@ -208,6 +213,63 @@ def evaluate(field, x_out):
     w[-1] = 1.0
     out = phase @ (w[keep] * coeffs[keep])
     return out.real
+
+
+def evaluate_uniform(field, x0, dx, n):
+    """``evaluate`` at the n equispaced points x0 + t dx, t < n.
+
+    k_j (x + L) = j pi (x0 + L) / L + j t pi dx / L, so the interpolant on
+    these points is one ``chirp_sum`` over every mode, O((N + n) log) work
+    in place of the n x N/2 exponentials of ``evaluate``.
+    """
+    grid = field.grid
+    coeffs = np.fft.rfft(field.values) / grid.N
+    coeffs[1:-1] *= 2.0
+    j = np.arange(coeffs.size)
+    x = coeffs * _expi(math.pi * (x0 + grid.L) / grid.L, j)
+    return chirp_sum(x, math.pi * dx / grid.L, n).real
+
+
+def _expi(h, q):
+    """exp(i h q) for integers q >= 0, as the product of exp(i h 2^b) over
+    the set bits b of q.  Each h 2^b is exact and libm reduces it exactly,
+    so the result is good to a few ulp however large h q is; forming h q
+    would round the phase by |h q| 2^-53 rad.
+    """
+    q = np.asarray(q, dtype=np.int64)
+    out = np.ones(q.shape, dtype=complex)
+    b = 0
+    while np.any(q >> b):
+        y = math.ldexp(h, b)
+        out[(q >> b) & 1 == 1] *= complex(math.cos(y), math.sin(y))
+        b += 1
+    return out
+
+
+def chirp_sum(x, d, n_out, m0=0, j0=0):
+    """sum_i x_i exp(i (m0 + i)(j0 + t) d) for t < n_out; integers m0, j0 >= 0.
+
+    The chirp-z transform by Bluestein's algorithm (Rabiner, Schafer &
+    Rader 1969; Bluestein 1970): with 2 (m0 + i)(j0 + t) = (i^2 + 2 i j0)
+    + (t^2 + 2 m0 t + 2 m0 j0) - (t - i)^2 it is a chirp on the input, a
+    linear convolution with exp(-i d s^2 / 2) by FFT, and a chirp on the
+    output.  Every chirp comes from ``_expi``, so the error is a few ulp of
+    sum |x_i| for any step d and any lengths.
+    """
+    if m0 < 0 or j0 < 0:
+        raise DomainError(f"chirp_sum needs m0, j0 >= 0, got {m0}, {j0}")
+    x = np.asarray(x)
+    h = 0.5 * d
+    i = np.arange(x.size, dtype=np.int64)
+    t = np.arange(n_out, dtype=np.int64)
+    size = 1 << (x.size + n_out - 2).bit_length()
+    y = np.zeros(size, dtype=complex)
+    y[:x.size] = x * _expi(h, i * (i + 2 * j0))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n_out] = _expi(-h, t * t)
+    kernel[size - x.size + 1:] = _expi(-h, i[:0:-1] ** 2)
+    conv = np.fft.ifft(np.fft.fft(y) * np.fft.fft(kernel))[:n_out]
+    return conv * _expi(h, t * t + 2 * m0 * t + 2 * m0 * j0)
 
 
 def field_to_csv(field, path, header=""):

@@ -183,9 +183,6 @@ class TestTaylorRemainders:
         ("nnn1", 2e-3), ("nnn1", 0.05), ("nnn1", 0.3), ("nnn1", 2.5),
     ])
     def test_against_mpmath(self, request, name, k):
-        # the kernel sum up to m_eff at 30 digits plus the true tail beyond
-        # it (Hurwitz zeta for the power law, zero for a table)
-        mpmath = pytest.importorskip("mpmath")
         model = request.getfixturevalue(name)
         tr = taylor_remainders(model)
         t1, t2 = tr.t1_t2(np.array([k]))
@@ -193,28 +190,64 @@ class TestTaylorRemainders:
         m_eff = model.M
         if model.infinite_range:
             m_eff = max(model.M, math.ceil(8.0 / k))
-        mc = np.arange(1, m_eff + 1, dtype=float)
-        w2 = model.alpha_of(mc) * mc * mc
-        with mpmath.workdps(30):
-            tail2 = tail4 = mpmath.mpf(0)
-            if model.infinite_range:
-                c = model.a * (model.a + 1)
-                tail2 = c * mpmath.zeta(model.a, m_eff + 1)
-                tail4 = c * mpmath.zeta(model.a - 2, m_eff + 1)
-            kk = mpmath.mpf(k)
-            if k * m_eff >= 4.0:
-                tails = (-tail2, -tail2 + kk * kk * tail4 / 12)
-            else:
-                tails = (-kk * kk * tail4 / 12, 0)
-            acc1 = acc2 = mpmath.mpf(0)
-            for m, w in zip(range(1, m_eff + 1), w2):
-                y = m * kk
-                g1 = mpmath.sinc(y / 2) ** 2 - 1
-                acc1 += w * g1
-                acc2 += w * (g1 + y * y / 12)
-            ref1, ref2 = float(acc1 + tails[0]), float(acc2 + tails[1])
+        ref1, ref2 = _mpmath_t1_t2(model, k, m_eff)
         assert t1[0] == pytest.approx(ref1, rel=1e-13, abs=0.0)
         assert t2[0] == pytest.approx(ref2, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("j", [39, 43])
+    def test_progression_against_mpmath(self, cm6, j):
+        # a = 6, eps = 0.2 on the L = 40 box: j = 39 is the first point
+        # above the 0.6 rad cut.  A chirp over every m misses t2 here by
+        # 3-6e-12 (rows with mk < 2), and an m_eff set by the points above
+        # the cut instead of k_1 = dk misses by 1e-12
+        dk = 0.2 * math.pi / 40.0
+        t1, t2 = taylor_remainders(cm6).t1_t2_progression(dk, 1025)
+        ref1, ref2 = _mpmath_t1_t2(cm6, j * dk, math.ceil(8.0 / dk))
+        assert t1[j] == pytest.approx(ref1, rel=1e-13, abs=0.0)
+        assert t2[j] == pytest.approx(ref2, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2, 0.4])
+    @pytest.mark.parametrize("power, M", [(4.2, 4000), (2.0, 3000)])
+    def test_progression_matches_series_on_slow_tables(self, power, M, eps):
+        # tables alpha_m = m^-power that are not type I, so no operator
+        # context is built on them (test_operators covers the families);
+        # k_j = j eps pi / L, j <= N/2 on the L = 40, N = 2048 box
+        m = np.arange(1, M + 1, dtype=float)
+        model = lw.build_model(lw.PotentialSpec.custom(
+            m ** -power, np.zeros(M), None))
+        dk = eps * math.pi / 40.0
+        tr = taylor_remainders(model)
+        got = tr.t1_t2_progression(dk, 1025)
+        ref = tr.t1_t2(dk * np.arange(1025))
+        for g, r in zip(got, ref):
+            assert g[0] == r[0] == 0.0
+            assert np.max(np.abs(g[1:] - r[1:]) / np.abs(r[1:])) <= 1e-13
+
+
+def _mpmath_t1_t2(model, k, m_eff):
+    """t1, t2 at k > 0 as the kernel sum up to m_eff at 30 digits plus the
+    true tail beyond it (Hurwitz zeta for the power law, zero for a table)."""
+    mpmath = pytest.importorskip("mpmath")
+    mc = np.arange(1, m_eff + 1, dtype=float)
+    w2 = model.alpha_of(mc) * mc * mc
+    with mpmath.workdps(30):
+        tail2 = tail4 = mpmath.mpf(0)
+        if model.infinite_range:
+            c = model.a * (model.a + 1)
+            tail2 = c * mpmath.zeta(model.a, m_eff + 1)
+            tail4 = c * mpmath.zeta(model.a - 2, m_eff + 1)
+        kk = mpmath.mpf(k)
+        if k * m_eff >= 4.0:
+            tails = (-tail2, -tail2 + kk * kk * tail4 / 12)
+        else:
+            tails = (-kk * kk * tail4 / 12, 0)
+        acc1 = acc2 = mpmath.mpf(0)
+        for m, w in zip(range(1, m_eff + 1), w2):
+            y = m * kk
+            g1 = mpmath.sinc(y / 2) ** 2 - 1
+            acc1 += w * g1
+            acc2 += w * (g1 + y * y / 12)
+        return float(acc1 + tails[0]), float(acc2 + tails[1])
 
 
 class TestCoefficientsFromDispersion:

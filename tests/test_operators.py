@@ -13,6 +13,23 @@ from conftest import random_band_limited
 EPS_PROBE = (0.4, 0.2, 0.1, 0.05)
 
 
+def _long_table():
+    # alpha_m = m^-5.5 to M = 4000: a table that decays like the a = 3.5
+    # power law and is type I certified
+    m = np.arange(1, 4001, dtype=float)
+    beta = np.zeros(m.size)
+    beta[0] = 1.0
+    return lw.PotentialSpec.custom(m ** -5.5, beta, None)
+
+
+_EXTRA_SPECS = {
+    "fput": lw.PotentialSpec.classical_fput,
+    "finite_range": lambda: lw.PotentialSpec.finite_range(
+        alpha=[1.0, 0.0, 0.3], beta=[1.0, 0.0, 0.0]),
+    "long_table": _long_table,
+}
+
+
 def _slope(eps, vals):
     return float(np.polyfit(np.log(eps), np.log(vals), 1)[0])
 
@@ -96,6 +113,25 @@ class TestLinearOperator:
             lo, hi = ctx.multiplier_bounds()
             assert np.min(ctx._mult_b) >= lo * (1.0 - 1e-12)
             assert np.max(ctx._mult_b) <= hi * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("name", [
+        "cm35", "cm4", "cm6", "nnn1", "fput", "finite_range", "long_table"])
+    def test_symbols_match_series_route(self, request, grid, name):
+        # the context builds t1, t2 on k_j = j eps pi / L by
+        # t1_t2_progression (a chirp sum above 0.6 rad); the series route
+        # evaluates the kernel sum at every eps k_j
+        if name in ("cm35", "cm4", "cm6", "nnn1"):
+            prof = request.getfixturevalue("prof_" + name)
+        else:
+            prof = lw.certify_type1(lw.build_model(_EXTRA_SPECS[name]()))
+        for eps in EPS_PROBE:
+            ctx = lw.LongWaveOperators(prof, grid, eps)
+            t1, t2 = lw.taylor_remainders(prof.model).t1_t2(eps * grid.k)
+            half = 0.5 * abs(ctx.lambda_dd0)
+            ref_b, ref_bdiff = half - t1 / eps ** 2, -t2 / eps ** 2
+            assert np.max(np.abs(ctx._mult_b / ref_b - 1.0)) <= 1e-13
+            assert ctx._mult_bdiff[0] == ref_bdiff[0] == 0.0
+            assert np.max(np.abs(ctx._mult_bdiff[1:] / ref_bdiff[1:] - 1.0)) <= 1e-13
 
     def test_symbol_difference_consistency(self, ctx_cm4):
         gap = (ctx_cm4._mult_b - ctx_cm4._mult_b0) - ctx_cm4._mult_bdiff

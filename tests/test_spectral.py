@@ -1,11 +1,17 @@
 """Grid/Field substrate: transforms, multipliers, norms, parity."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import latticewaves as lw
-from latticewaves.spectral import (antiderivative_mean_free, derivative,
-                                   evaluate, mean_value)
+from latticewaves.spectral import (antiderivative_mean_free, chirp_sum,
+                                   derivative, evaluate, evaluate_uniform,
+                                   mean_value)
 from conftest import random_band_limited
 
 
@@ -144,6 +150,66 @@ def test_evaluate_matches_grid_and_offgrid(grid, sech2):
     vals_mid = evaluate(sech2, mid)
     exact = 1.0 / np.cosh(0.5 * mid) ** 2
     assert np.max(np.abs(vals_mid - exact)) < 1e-10
+
+
+def test_evaluate_uniform_matches_evaluate(grid, sech2, rng):
+    # off-grid start, steps that are and are not multiples of dx; both
+    # round at about 1e-16 of the coefficients' l1 norm times the phases
+    f = random_band_limited(grid, rng, modes=300)
+    for field in (sech2, f):
+        scale = 2.0 * np.sum(np.abs(field.spectrum())) / grid.N
+        for x0, dx, n in ((-39.93, 0.1, 799), (-7.3, grid.dx, 200),
+                          (1.234, 0.0371, 1), (-40.0, 0.4 * np.sqrt(2.0), 141)):
+            ref = evaluate(field, x0 + dx * np.arange(n))
+            out = evaluate_uniform(field, x0, dx, n)
+            assert np.max(np.abs(out - ref)) <= 1e-13 * scale
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the dense reference needs extended precision")
+@pytest.mark.parametrize("n_in, n_out, d, m0, j0", [
+    (1, 5, 0.7, 3, 2),
+    (2, 7, 2.5, 11, 4),
+    (13_838, 100, 0.2 * np.pi / 40.0 / np.sqrt(2.0), 5, 900),
+    (13_838, 4, np.e, 17, 2),
+])
+def test_chirp_sum_matches_dense_sum(rng, n_in, n_out, d, m0, j0):
+    # the reference forms every phase (m0 + i)(j0 + t) d, up to 2e5 rad,
+    # in long double; in float64 such a phase rounds by 1e-11 rad
+    x = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
+    out = chirp_sum(x, d, n_out, m0=m0, j0=j0)
+    p = np.outer(np.arange(m0, m0 + n_in), np.arange(j0, j0 + n_out))
+    phase = p.astype(np.longdouble) * np.longdouble(d)
+    ref = x.astype(np.clongdouble) @ (np.cos(phase) + 1j * np.sin(phase))
+    assert out.shape == (n_out,)
+    assert np.max(np.abs(out - ref.astype(complex))) <= 1e-13 * np.sum(np.abs(x))
+
+
+def test_chirp_sum_rejects_negative_offsets():
+    with pytest.raises(lw.DomainError):
+        chirp_sum(np.ones(3), 0.1, 4, m0=-1)
+
+
+def test_pipeline_does_not_import_scipy_signal(tmp_path):
+    # importing scipy.signal adds 0.6-0.9 s to set-up (2-core machine, on
+    # top of numpy and scipy.linalg); the chirp sums use numpy.fft alone,
+    # and classify -> context -> solve -> lattice set-up must not pull it
+    # in through any module
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys\n"
+        "import latticewaves as lw\n"
+        "prof = lw.certify_type1(lw.build_model(lw.PotentialSpec.nnn(1.0)))\n"
+        "ctx = lw.LongWaveOperators(prof, lw.Grid(40.0, 1024), 0.2)\n"
+        "lw.init_from_wave(lw.solve_contraction(ctx), 1024)\n"
+        "print('scipy.signal' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_csv_exports(tmp_path, grid, sech2):
