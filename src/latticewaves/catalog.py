@@ -320,7 +320,6 @@ class LatticeModel:
     a: float | None
     trunc_tol: float
     # certified full-series sums
-    sum_alpha: float          # sum alpha_m
     sum_alpha_m2: float       # sum alpha_m m^2   (squared sound speed)
     sum_alpha_m4: float       # sum alpha_m m^4   (dispersion curvature)
     sum_beta_m3: float        # sum beta_m m^3    (quadratic coefficient b)
@@ -565,14 +564,12 @@ def _build_power_law(spec, trunc_tol):
 
     z_a = zeta(a)
     z_am2 = zeta(a - 2.0)
-    z_ap2 = zeta(a + 2.0)
     # EM-corrected zeta is good to ~1e-13 absolute; scale by the largest prefactor
     unc = 1e-12 * c_max * max(z_am2, 1.0)
     return LatticeModel(
         family=spec.family, r_star=1.0, delta_star=spec.delta_star,
         M=M, alpha=alpha, beta=beta, gamma=gamma, varsigma=varsigma,
         a=a, trunc_tol=trunc_tol,
-        sum_alpha=c_alpha * z_ap2,
         sum_alpha_m2=c_alpha * z_a,
         sum_alpha_m4=c_alpha * z_am2,
         sum_beta_m3=-c_beta * z_a,
@@ -600,7 +597,6 @@ def _build_finite(spec, trunc_tol):
         family=spec.family, r_star=spec.r_star, delta_star=spec.delta_star,
         M=M, alpha=alpha, beta=beta, gamma=gamma,
         varsigma=varsigma, a=None, trunc_tol=trunc_tol,
-        sum_alpha=float(np.sum(alpha)),
         sum_alpha_m2=float(np.sum(alpha * m ** 2)),
         sum_alpha_m4=float(np.sum(alpha * m ** 4)),
         sum_beta_m3=float(np.sum(beta * m ** 3)),

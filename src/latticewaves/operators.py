@@ -23,30 +23,30 @@ the forcing ``R_eps``, the shifted cubic term ``N_eps`` and the linearized
 operator ``L_eps V = V - 2 B_eps^-1 Q_eps(W0, V)`` together with a direct
 solver for it.
 
-All operators map even fields to even fields; pointwise products are
-dealiased with the 2/3 rule.  On that subspace ``L_eps`` is a real banded
-matrix in the cosine basis ``c(j) = (-1)^j rfft(V)_j``, j < cut = N//3 + 1
-(the identity on the modes at and above the cut)::
+A context's operators act on even fields, held as their N/2 + 1 samples
+on the right half grid x = 0, dx, ..., L; each returns the even extension
+of half-grid samples, so its output is even to the last bit.  The
+transform is the DCT-I, the rfft of the even extension about x = 0, and
+pointwise products are dealiased with the 2/3 rule.  On the even subspace
+``L_eps`` is a real banded matrix in the DCT-I coefficients ``c(j)``,
+j < cut = N//3 + 1 (the identity on the modes at and above the cut)::
 
     (L_eps c)(j) = c(j) - (2 / B_eps(j)) sum_j' K(j, j') c(j'),
     K(j, j') = (1/N) sum_m beta_m m^3 s_m(j) s_m(j')
                [s_m(j - j') c0(|j - j'|) + [j' > 0] s_m(j + j') c0(j + j')]
 
 with ``s_m(j) = sinc(eps m k_j / 2)`` (1 at eps = 0, where the m-sum is b)
-and ``c0`` the cosine coefficients of the cut W0.  These fall below 2^-53 of
+and ``c0`` the coefficients of the cut W0.  These fall below 2^-53 of
 their largest value past an index D (166 on the L = 40 box), so K has
 half-bandwidth D; ``linearized_solve`` factors it once with a band LU.
 """
 
-import contextlib
-
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .catalog import b_coefficient
 from .dispersion import long_wave_curvature, taylor_remainders
 from .errors import CertificationError, ConfigError, DomainError, SolverError
-from .spectral import Field, apply_multiplier, project_even
+from .spectral import Field, apply_multiplier
 
 __all__ = ["moving_average", "averaging_defect", "LongWaveOperators"]
 
@@ -97,13 +97,30 @@ def averaging_defect(field, width):
     return apply_multiplier(field, lambda k: 0.25 * _defect_symbol(0.5 * width * k))
 
 
+def _dct(half):
+    """DCT-I along the last axis: the rfft of the even extension of the
+    half-grid samples, which is real."""
+    ext = np.concatenate((half, half[..., -2:0:-1]), axis=-1)
+    return np.fft.rfft(ext).real
+
+
+def _idct(coeffs):
+    """Inverse of ``_dct``: the half-grid samples with DCT-I ``coeffs``."""
+    n2 = coeffs.shape[-1] - 1
+    return np.fft.irfft(coeffs, n=2 * n2)[..., :n2 + 1]
+
+
 class LongWaveOperators:
     """Operator context: one lattice, one grid, one scaling parameter eps.
 
-    Immutable after construction apart from caches of W0-only terms and the
-    band factor held inside ``factored()``; all methods are pure
-    field-to-field maps, so distinct contexts can be evaluated
-    concurrently.  ``eps = 0``
+    The operators read only the even part of an argument (the identity
+    term of ``linearized`` passes V through unchanged) and return fields
+    that are even to the last bit.  Immutable after construction apart
+    from lazy caches of W0-only terms (the averaged background rows,
+    P_eps(W0)) and of the band factor of L_eps, which the first
+    ``linearized_solve`` builds and the context keeps for its life; all
+    methods are pure field-to-field maps, so distinct contexts can be
+    evaluated concurrently.  ``eps = 0``
     constructs the KdV-limit context in which the quadratic term becomes
     b*V*W, the linear operator its constant-coefficient limit, and the
     cubic remainder vanishes (used by the independent fixed-point oracle).
@@ -134,7 +151,7 @@ class LongWaveOperators:
         self.eps = float(eps)
         self.sigma = float(profile.sigma if sigma is None else sigma)
         self.m_apply = int(min(model.M, _M_APPLY))
-        self._cut = grid.N // 3 + 1  # first zeroed rfft bin (2/3 rule)
+        self._cut = grid.N // 3 + 1  # first zeroed coefficient (2/3 rule)
 
         self.c0_sq = profile.c0_sq
         self.lambda_dd0 = long_wave_curvature(model)
@@ -169,27 +186,42 @@ class LongWaveOperators:
         self.quadratic_tail_bound = float(np.sum(np.abs(inner))) + model.tail_beta_m3
 
         amp = -1.5 * self.lambda_dd0 / (2.0 * self.b)
-        self.background = Field.from_function(
-            grid, lambda x: amp / np.cosh(0.5 * x) ** 2, even=True)
-        self._aw0 = None  # averaged-background stack, built on first use
+        x = grid.dx * np.arange(grid.N // 2 + 1)
+        self.background = self._field(amp / np.cosh(0.5 * x) ** 2)
+        self._aw0 = None  # rows A_em W0, built on first use
         self._pw0 = None  # P_eps(W0), built on first use
-        self._lu = None   # band LU of L_eps, held only inside factored()
+        self._lu = None   # band LU of L_eps, built on first solve
 
-    # -- plumbing -----------------------------------------------------------
+    # -- even half-grid transform ---------------------------------------------
 
-    def _even(self, values):
-        return Field(self.grid, values, even=True)
+    def _half(self, field):
+        """Even part of a field on x = 0, dx, ..., L: N/2 + 1 samples,
+        exact for an even field."""
+        v, n2 = field.values, self.grid.N // 2
+        return 0.5 * (np.append(v[n2:], v[0]) + v[n2::-1])
 
-    def _hat(self, field):
-        coeffs = np.fft.rfft(field.values)
-        coeffs[self._cut:] = 0.0
+    def _field(self, half):
+        """The even field whose half-grid samples are ``half``."""
+        n2 = self.grid.N // 2
+        return Field(self.grid, np.concatenate((half[n2:0:-1], half[:n2])))
+
+    def _cut_dct(self, half):
+        """DCT-I with the modes at and above the cut zeroed (2/3 rule)."""
+        coeffs = _dct(half)
+        coeffs[..., self._cut:] = 0.0
         return coeffs
 
-    def _product_hat(self, prod_rows):
-        """rfft of pointwise products with the 2/3-rule cut applied."""
-        ph = np.fft.rfft(prod_rows, axis=-1)
-        ph[..., self._cut:] = 0.0
-        return ph
+    def _multiply(self, symbol, field):
+        return self._field(_idct(symbol * _dct(self._half(field))))
+
+    def _rows(self, field):
+        """Rows A_em F, m <= m_apply, on the half grid."""
+        return _idct(self._sinc_stack * self._cut_dct(self._half(field)))
+
+    def _row_sum(self, weights, rows):
+        """The field sum_m w_m A_em[rows_m], rows given on the half grid."""
+        out = np.sum(weights * self._sinc_stack * self._cut_dct(rows), axis=0)
+        return self._field(_idct(out))
 
     def multiplier_bounds(self):
         """(lower, upper) pinch for the linear symbol on this grid."""
@@ -202,23 +234,23 @@ class LongWaveOperators:
     # -- linear multipliers ---------------------------------------------------
 
     def linear(self, field):
-        return apply_multiplier(field, self._mult_b)
+        return self._multiply(self._mult_b, field)
 
     def linear_inv(self, field):
-        return apply_multiplier(field, 1.0 / self._mult_b)
+        return self._multiply(1.0 / self._mult_b, field)
 
     def linear_limit(self, field):
-        return apply_multiplier(field, self._mult_b0)
+        return self._multiply(self._mult_b0, field)
 
     def linear_limit_inv(self, field):
-        return apply_multiplier(field, 1.0 / self._mult_b0)
+        return self._multiply(1.0 / self._mult_b0, field)
 
     def linear_diff(self, field):
         """(B_eps - B_0) applied through its own cancellation-free symbol."""
-        return apply_multiplier(field, self._mult_bdiff)
+        return self._multiply(self._mult_bdiff, field)
 
     def linear_inv_diff(self, field):
-        return apply_multiplier(field, 1.0 / self._mult_b - 1.0 / self._mult_b0)
+        return self._multiply(1.0 / self._mult_b - 1.0 / self._mult_b0, field)
 
     # -- nonlinear sums ---------------------------------------------------------
 
@@ -226,19 +258,14 @@ class LongWaveOperators:
         """Averaged quadratic interaction; symmetric bilinear in (V, W)."""
         if self.eps == 0.0:
             return self.quadratic_limit(V, W)
-        vh = self._hat(V)
-        wh = vh if W is V else self._hat(W)
-        stack = self._sinc_stack
-        av = np.fft.irfft(stack * vh, n=self.grid.N)
-        aw = av if W is V else np.fft.irfft(stack * wh, n=self.grid.N)
-        ph = self._product_hat(av * aw)
-        out_hat = np.sum(self._q_weights * stack * ph, axis=0)
-        return self._even(np.fft.irfft(out_hat, n=self.grid.N))
+        av = self._rows(V)
+        aw = av if W is V else self._rows(W)
+        return self._row_sum(self._q_weights, av * aw)
 
     def quadratic_limit(self, V, W):
         """eps -> 0 limit b * V * W (same dealiasing as the full operator)."""
-        ph = self._product_hat(V.values * W.values)
-        return self._even(self.b * np.fft.irfft(ph, n=self.grid.N))
+        prod = self._cut_dct(self._half(V) * self._half(W))
+        return self._field(self.b * _idct(prod))
 
     def cubic(self, W):
         """Cubic-and-higher remainder sum; formally O(1) in eps.
@@ -249,13 +276,9 @@ class LongWaveOperators:
         """
         if self.eps == 0.0:
             return Field.zero(self.grid)
-        wh = self._hat(W)
-        stack = self._sinc_stack
-        aw = np.fft.irfft(stack * wh, n=self.grid.N)
-        eta = self.eps ** 2 * self._m_col * aw
-        ph = self._product_hat(self.model.psi_prime(self._m_col, eta))
-        out_hat = np.sum(self._m_col * stack * ph, axis=0)
-        return self._even(np.fft.irfft(out_hat, n=self.grid.N) / self.eps ** 6)
+        eta = self.eps ** 2 * self._m_col * self._rows(W)
+        psi = self.model.psi_prime(self._m_col, eta)
+        return self.eps ** -6 * self._row_sum(self._m_col, psi)
 
     # -- correction-equation pieces ------------------------------------------------
 
@@ -306,63 +329,45 @@ class LongWaveOperators:
         if self.eps == 0.0:
             return self.quadratic_limit(self.background, V)
         if self._aw0 is None:
-            w0h = self._hat(self.background)
-            self._aw0 = np.fft.irfft(self._sinc_stack * w0h, n=self.grid.N)
-        stack = self._sinc_stack
-        av = np.fft.irfft(stack * self._hat(V), n=self.grid.N)
-        ph = self._product_hat(self._aw0 * av)
-        out_hat = np.sum(self._q_weights * stack * ph, axis=0)
-        return self._even(np.fft.irfft(out_hat, n=self.grid.N))
+            # a copy, so the cache does not pin the full-width transform
+            self._aw0 = self._rows(self.background).copy()
+        return self._row_sum(self._q_weights, self._aw0 * self._rows(V))
 
     def linearized_solve(self, F):
         """Solve L_eps V = F on the even subspace by a banded LU.
 
         The band matrix of the module docstring is built from the cut W0
-        and factored with LAPACK ``dgbtrf``; inside ``factored()`` the factor
-        is built once and reused, otherwise each call builds its own.  One
-        FFT application of ``linearized`` checks the result against the
-        relative residual target 1e-11; up to two refinement steps follow a
-        miss, after which a SolverError reports the residual.  (At eps = 0
-        the limit product b W0 V does not cut V, so modes of F past the cut
-        leak into the band and cost one refinement step.)
+        and factored with LAPACK ``dgbtrf`` on the first call; the context
+        keeps the factor for later calls.  One transform application of
+        ``linearized`` checks the result against the relative residual
+        target 1e-11; up to two refinement steps follow a miss, after
+        which a SolverError reports the residual.  (At eps = 0 the limit
+        product b W0 V does not cut V, so modes of F past the cut leak
+        into the band and cost one refinement step.)
         """
-        f = project_even(F)
+        f = self._field(self._half(F))
         fnorm = float(np.linalg.norm(f.values))
         if fnorm == 0.0:
             return Field.zero(self.grid)
-        lu = self._band_lu() if self._lu is None else self._lu
-        V = self._band_solve(lu, f)
+        if self._lu is None:
+            self._lu = self._band_lu()
+        V = self._band_solve(self._lu, f)
         for step in range(_REFINE_STEPS + 1):
-            r = f - project_even(self.linearized(V))
+            r = f - self.linearized(V)
             res = float(np.linalg.norm(r.values)) / fnorm
             if res <= _SOLVE_RTOL:
                 return V
             if step < _REFINE_STEPS:
-                V = V + self._band_solve(lu, r)
+                V = V + self._band_solve(self._lu, r)
         raise SolverError(
             f"linearized solve missed its target: relative residual "
             f"{res:.3e} > {_SOLVE_RTOL:.0e} after {_REFINE_STEPS} refinement "
             f"steps (eps={self.eps})"
         )
 
-    @contextlib.contextmanager
-    def factored(self):
-        """Keep one band LU of L_eps for the linearized solves in the block.
-
-        The factor is dropped on exit, so a context that outlives its solve
-        (a WaveSolution keeps one) holds no factor; a nested block uses the
-        outer one's.
-        """
-        outer = self._lu
-        if outer is None:
-            self._lu = self._band_lu()
-        try:
-            yield self
-        finally:
-            self._lu = outer
-
     def _band_lu(self):
         """(D, LU, pivots): the band matrix factored in place by dgbtrf."""
+        from scipy.linalg.lapack import dgbtrf  # scipy loads on the first solve
         D, ab = self._band_matrix()
         lu, piv, info = dgbtrf(ab, D, D, overwrite_ab=1)
         if info != 0:
@@ -379,7 +384,7 @@ class LongWaveOperators:
         (i, j); the first D rows are the fill-in space dgbtrf needs.
         """
         N, cut = self.grid.N, self._cut
-        c0 = _cosine_coeffs(self._hat(self.background)[:cut])
+        c0 = self._cut_dct(self._half(self.background))[:cut]
         D = int(np.flatnonzero(np.abs(c0) > 2.0 ** -53 * np.max(np.abs(c0)))[-1])
         if self.eps == 0.0:
             S, w = np.ones((1, cut)), np.array([self.b])
@@ -404,15 +409,8 @@ class LongWaveOperators:
     def _band_solve(self, lu, F):
         """Apply the band factor to the even part of F; the modes at and
         above the cut pass through unchanged."""
+        from scipy.linalg.lapack import dgbtrs
         D, factor, piv = lu
-        hat = _cosine_coeffs(np.fft.rfft(F.values))
-        hat[:self._cut], _ = dgbtrs(factor, D, D, hat[:self._cut], piv)
-        return self._even(np.fft.irfft(_cosine_coeffs(hat), n=self.grid.N))
-
-
-def _cosine_coeffs(hat):
-    """(-1)^j Re hat_j: the cosine coefficients of the even part of a field
-    on [-L, L) from its rfft (and back, for real coefficients)."""
-    out = hat.real.copy()
-    out[1::2] *= -1.0
-    return out
+        coeffs = _dct(self._half(F))
+        coeffs[:self._cut], _ = dgbtrs(factor, D, D, coeffs[:self._cut], piv)
+        return self._field(_idct(coeffs))

@@ -14,7 +14,7 @@ correction V solves the fixed-point equation
 
     V = L^-1 B^-1 R + eps^sigma L^-1 B^-1 Q(V, V) + eps^2 L^-1 B^-1 N(V)
 
-iterated from V = 0 with even projection each step; for small eps the map
+iterated from V = 0 on the even subspace; for small eps the map
 G(V) given by the right-hand side contracts on a ball and the iteration is
 self-certifying through the residual of the traveling-wave equation.  The
 iterates are Anderson-mixed (type II, Walker & Ni, SIAM J. Numer. Anal. 49,
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .operators import LongWaveOperators
-from .spectral import Field, project_even, sobolev_norm
+from .spectral import Field, sobolev_norm
 
 __all__ = [
     "WaveSolution", "kdv_profile", "wave_speed_sq", "residual",
@@ -144,7 +144,7 @@ def solve_contraction(ctx, tol=1e-12, max_iter=50):
     """Anderson-mixed fixed-point iteration for the correction V from V = 0.
 
     Each step evaluates G(V) = L^-1 B^-1 [R + eps^sigma Q(V, V)
-    + eps^2 N(V)], projected even, and records the plain H^1 increment
+    + eps^2 N(V)] and records the plain H^1 increment
     ||G(V) - V||; it returns G(V) once that drops below ``tol``, so
     ``iterations`` counts evaluations of G.  Otherwise the next V mixes
     G over the last ``_ANDERSON_DEPTH`` steps (``_Anderson``).  Safeguard:
@@ -154,7 +154,7 @@ def solve_contraction(ctx, tol=1e-12, max_iter=50):
     for small eps bounds the contraction ball) raises SolverError flagging
     eps as too large, as does exhausting ``max_iter`` (>= 1, else
     ConfigError).  Every step solves with the same band factor of L_eps,
-    built once for the loop and dropped after it.
+    which the context builds on the first solve and keeps.
     """
     _check_max_iter(max_iter)
     base = ctx.linear_inv(ctx.residual_forcing())
@@ -163,32 +163,31 @@ def solve_contraction(ctx, tol=1e-12, max_iter=50):
     first_norm = None
     increments = []
     plain_steps = 0
-    with ctx.factored():
-        for n in range(1, max_iter + 1):
-            rhs = base
-            if n > 1:
-                rhs = rhs + ctx.linear_inv(
-                    ctx.eps ** ctx.sigma * ctx.quadratic(V, V)
-                    + ctx.eps ** 2 * ctx.cubic_shift(V))
-            G = project_even(ctx.linearized_solve(rhs))
-            inc = sobolev_norm(G - V, 1.0)
-            increments.append(inc)
-            norm = sobolev_norm(G, 1.0)
-            if first_norm is None:
-                first_norm = norm
-            elif norm > 10.0 * first_norm + 1e-12:
-                raise SolverError(
-                    f"contraction failure at eps={ctx.eps}: iterate norm "
-                    f"{norm:.3e} exceeds 10x first iterate {first_norm:.3e} "
-                    f"(eps too large)"
-                )
-            if inc < tol:
-                return _package(ctx, G, n, "contraction", increments,
-                                plain_steps)
-            if n > 1 and inc >= increments[-2]:
-                plain_steps += 1
-                mixer = _Anderson()
-            V = project_even(G.with_values(mixer.step(V.values, G.values)))
+    for n in range(1, max_iter + 1):
+        rhs = base
+        if n > 1:
+            rhs = rhs + ctx.linear_inv(
+                ctx.eps ** ctx.sigma * ctx.quadratic(V, V)
+                + ctx.eps ** 2 * ctx.cubic_shift(V))
+        G = ctx.linearized_solve(rhs)
+        inc = sobolev_norm(G - V, 1.0)
+        increments.append(inc)
+        norm = sobolev_norm(G, 1.0)
+        if first_norm is None:
+            first_norm = norm
+        elif norm > 10.0 * first_norm + 1e-12:
+            raise SolverError(
+                f"contraction failure at eps={ctx.eps}: iterate norm "
+                f"{norm:.3e} exceeds 10x first iterate {first_norm:.3e} "
+                f"(eps too large)"
+            )
+        if inc < tol:
+            return _package(ctx, G, n, "contraction", increments,
+                            plain_steps)
+        if n > 1 and inc >= increments[-2]:
+            plain_steps += 1
+            mixer = _Anderson()
+        V = G.with_values(mixer.step(V.values, G.values))
     raise SolverError(
         f"contraction did not converge in {max_iter} iterations; "
         f"last increment {increments[-1]:.3e}"
@@ -220,7 +219,7 @@ def solve_petviashvili(ctx, tol=1e-12, max_iter=500):
             raise SolverError(
                 f"oracle failure: nonpositive stabilizer at iteration {n}")
         S = num / den
-        W_new = project_even(S ** 2 * ctx.linear_inv(K))
+        W_new = S ** 2 * ctx.linear_inv(K)
         inc = sobolev_norm(W_new - W, 1.0)
         W = W_new
         if sobolev_norm(W, 1.0) > 10.0 * w0_norm:
@@ -228,7 +227,7 @@ def solve_petviashvili(ctx, tol=1e-12, max_iter=500):
         if abs(S - 1.0) < tol and inc < tol:
             V = ctx.eps ** (-ctx.sigma) * (W - ctx.background) \
                 if ctx.eps > 0.0 else W - ctx.background
-            return _package(ctx, project_even(V), n, "petviashvili")
+            return _package(ctx, V, n, "petviashvili")
     raise SolverError(
         f"petviashvili did not converge in {max_iter} iterations")
 

@@ -69,13 +69,14 @@ class Grid:
 class Field:
     """A real function sampled on a grid; values are immutable.
 
-    ``even`` marks profiles expected symmetric about x = 0 (the solver's
-    working subspace); it is advisory and checked by ``is_even``.
+    The ``even`` keyword is accepted and ignored: parity is a property of
+    the values (``is_even``), and the operator context works on the even
+    part of whatever it is given.
     """
 
-    __slots__ = ("grid", "values", "even")
+    __slots__ = ("grid", "values")
 
-    def __init__(self, grid, values, even=False):
+    def __init__(self, grid, values, even=None):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.N,):
             raise ConfigError(f"field shape {values.shape} != grid size ({grid.N},)")
@@ -85,33 +86,30 @@ class Field:
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "even", even)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
 
     @classmethod
-    def from_function(cls, grid, fn, even=False):
-        return cls(grid, fn(grid.x), even=even)
+    def from_function(cls, grid, fn, even=None):
+        return cls(grid, fn(grid.x))
 
     @classmethod
     def zero(cls, grid):
-        return cls(grid, np.zeros(grid.N), even=True)
+        return cls(grid, np.zeros(grid.N))
 
-    def with_values(self, values, even=None):
-        return Field(self.grid, values, even=self.even if even is None else even)
+    def with_values(self, values):
+        return Field(self.grid, values)
 
     # light arithmetic; pointwise products live in the operator layer
     def __add__(self, other):
-        return Field(self.grid, self.values + other.values,
-                     even=self.even and other.even)
+        return Field(self.grid, self.values + other.values)
 
     def __sub__(self, other):
-        return Field(self.grid, self.values - other.values,
-                     even=self.even and other.even)
+        return Field(self.grid, self.values - other.values)
 
     def __mul__(self, scalar):
-        return Field(self.grid, self.values * float(scalar), even=self.even)
+        return Field(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
 
@@ -153,7 +151,7 @@ def derivative(field, order=1):
     """Spectral derivative; even orders keep parity, odd orders flip it."""
     coeffs = np.fft.rfft(field.values) * (1j * field.grid.k) ** order
     out = np.fft.irfft(coeffs, n=field.grid.N)
-    return Field(field.grid, out, even=field.even if order % 2 == 0 else False)
+    return Field(field.grid, out)
 
 
 def sobolev_norm(field, s=0.0):
@@ -176,7 +174,7 @@ def sobolev_norm(field, s=0.0):
 def project_even(field):
     """Symmetric part (F(x) + F(-x))/2; idempotent, kills odd fields."""
     vals = 0.5 * (field.values + _reflect(field.values))
-    return Field(field.grid, vals, even=True)
+    return Field(field.grid, vals)
 
 
 def mean_value(field):
@@ -191,7 +189,7 @@ def antiderivative_mean_free(field):
     coeffs[0] = 0.0
     k[0] = 1.0  # avoid 0/0; the j = 0 bin was zeroed above
     out = np.fft.irfft(coeffs / (1j * k), n=field.grid.N)
-    return Field(field.grid, out, even=False)
+    return Field(field.grid, out)
 
 
 def evaluate(field, x_out):

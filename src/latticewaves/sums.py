@@ -36,7 +36,7 @@ _BERNOULLI = (
 )
 
 
-def power_tail(p, m_last, with_error=False):
+def power_tail(p, m_last):
     """Tail ``sum_{m > m_last} m^(-p)`` for ``p > 1`` by Euler-Maclaurin.
 
     Parameters
@@ -46,8 +46,6 @@ def power_tail(p, m_last, with_error=False):
     m_last : int
         Last index included in the explicit head sum (tail starts at
         ``m_last + 1``).
-    with_error : bool
-        If True, also return a bound on the absolute error of the tail.
     """
     if p <= 1.0:
         raise DomainError(f"power tail diverges for exponent p={p} <= 1")
@@ -58,19 +56,12 @@ def power_tail(p, m_last, with_error=False):
     rising = p  # (p)_{2i-1}, starts at i=1 with (p)_1 = p
     fact = 2.0  # (2i)!
     power = a ** (-p - 1.0)
-    last_term = 0.0
     for i, b2i in enumerate(_BERNOULLI):
-        last_term = b2i / fact * rising * power
-        value += last_term
+        value += b2i / fact * rising * power
         n = 2 * (i + 1)
         rising *= (p + n - 1.0) * (p + n)
         fact *= (n + 1.0) * (n + 2.0)
         power /= a * a
-    if with_error:
-        # The expansion is asymptotic with alternating-style growth; the next
-        # correction bounds the remainder for the (p, a) ranges used here.
-        err = abs(_BERNOULLI[-1] / fact * rising * power) + 2.0 * abs(last_term) * (p / a) ** 2
-        return value, err
     return value
 
 

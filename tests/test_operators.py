@@ -371,20 +371,129 @@ class TestBandSolve:
         with pytest.raises(lw.SolverError, match="relative residual"):
             ctx_nnn1.linearized_solve(f)
 
-    def test_factor_held_only_inside_block(self, prof_nnn1, grid):
+    def test_factor_built_once_and_kept(self, prof_nnn1, grid, rng, monkeypatch):
+        # the first linearized solve builds the band factor and the context
+        # keeps it: the contraction and two later solves share one LU
+        built = []
+        band_lu = lw.LongWaveOperators._band_lu
+
+        def counted(ctx):
+            built.append(ctx.eps)
+            return band_lu(ctx)
+
+        monkeypatch.setattr(lw.LongWaveOperators, "_band_lu", counted)
         ctx = lw.LongWaveOperators(prof_nnn1, grid, 0.2)
-        with ctx.factored():
-            held = ctx._lu
-            assert held is not None
-            with ctx.factored():
-                assert ctx._lu is held
-            assert ctx._lu is held
-        assert ctx._lu is None
-        sol = lw.solve_contraction(ctx)
-        assert sol.ctx._lu is None
+        lw.solve_contraction(ctx)
+        for _ in range(2):
+            ctx.linearized_solve(random_band_limited(grid, rng, even=True))
+        assert built == [0.2]
 
     def test_background_cubic_cached(self, prof_nnn1, grid):
         ctx = lw.LongWaveOperators(prof_nnn1, grid, 0.2)
         first = ctx.residual_forcing()
         assert np.array_equal(ctx._pw0.values, ctx.cubic(ctx.background).values)
         assert np.array_equal(ctx.residual_forcing().values, first.values)
+
+
+def _bitwise_even(field):
+    return np.array_equal(field.values, np.roll(field.values[::-1], 1))
+
+
+_PARITY_CASES = [(fam, eps) for fam in ("cm35", "cm4", "nnn1")
+                 for eps in (0.0, 0.05, 0.2, 0.4)]
+
+
+@pytest.mark.parametrize("fam, eps", _PARITY_CASES,
+                         ids=[f"{f}-eps{e}" for f, e in _PARITY_CASES])
+def test_outputs_bitwise_even(request, grid, rng, fam, eps):
+    # the context returns the even extension of half-grid samples, so each
+    # output equals its reflection exactly, not only to rounding
+    prof = request.getfixturevalue(f"prof_{fam}")
+    ctx = lw.LongWaveOperators(prof, grid, eps)
+    v = 0.05 * random_band_limited(grid, rng, even=True)
+    w = 0.05 * random_band_limited(grid, rng, even=True)
+    outputs = {
+        "linear": ctx.linear(v), "linear_inv": ctx.linear_inv(v),
+        "linear_diff": ctx.linear_diff(v), "quadratic": ctx.quadratic(v, w),
+        "cubic": ctx.cubic(v), "linearized": ctx.linearized(v),
+        "linearized_solve": ctx.linearized_solve(v),
+    }
+    if eps > 0.0:
+        outputs["cubic_shift"] = ctx.cubic_shift(v)
+    # the solves run on a coarser box: parity is a property of the
+    # representation, not of the resolution
+    coarse = lw.LongWaveOperators(prof, lw.Grid(40.0, 256), eps)
+    solvers = [lw.solve_petviashvili] + ([lw.solve_contraction] if eps > 0.0 else [])
+    for solve in solvers:
+        sol = solve(coarse, tol=1e-10)
+        outputs[f"{solve.__name__}.W"] = sol.W
+        outputs[f"{solve.__name__}.V"] = sol.V
+    odd = sorted(name for name, f in outputs.items() if not _bitwise_even(f))
+    assert not odd, odd
+
+
+@pytest.mark.parametrize("fam, eps", [c for c in _PARITY_CASES if c[1] > 0.0],
+                         ids=[f"{f}-eps{e}" for f, e in _PARITY_CASES if e > 0.0])
+def test_operators_read_only_even_part(request, grid, rng, fam, eps):
+    # adding an odd field to the argument changes no output beyond rounding
+    ctx = lw.LongWaveOperators(request.getfixturevalue(f"prof_{fam}"), grid, eps)
+    f = 0.05 * random_band_limited(grid, rng, even=True)
+    g = random_band_limited(grid, rng)
+    odd = 0.05 * (g - lw.project_even(g))
+    for op in (lambda F: ctx.quadratic(F, F), ctx.cubic, ctx.cubic_shift,
+               ctx.linear_inv, ctx.linearized_solve):
+        ref = op(f).values
+        out = op(f + odd).values
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _full_grid_rows(ctx, field):
+    """rfft route on the whole box [-L, L): the 2/3-cut spectrum of F,
+    averaged by every range m <= m_apply, back on the grid."""
+    m = np.arange(1, ctx.m_apply + 1, dtype=float)[:, None]
+    stack = np.sinc(0.5 * ctx.eps * m * ctx.grid.k / np.pi)
+    hat = np.fft.rfft(field.values)
+    hat[ctx.grid.N // 3 + 1:] = 0.0
+    return m, stack, np.fft.irfft(stack * hat, n=ctx.grid.N)
+
+
+def _full_grid_sum(ctx, weights, stack, rows):
+    ph = np.fft.rfft(rows, axis=-1)
+    ph[:, ctx.grid.N // 3 + 1:] = 0.0
+    return np.fft.irfft(np.sum(weights * stack * ph, axis=0), n=ctx.grid.N)
+
+
+def _full_grid_quadratic(ctx, V, W):
+    m, stack, av = _full_grid_rows(ctx, V)
+    aw = _full_grid_rows(ctx, W)[2]
+    weights = ctx.model.beta[:ctx.m_apply, None] * m ** 3
+    return _full_grid_sum(ctx, weights, stack, av * aw)
+
+
+def _full_grid_cubic(ctx, W):
+    m, stack, aw = _full_grid_rows(ctx, W)
+    psi = ctx.model.psi_prime(m, ctx.eps ** 2 * m * aw)
+    return _full_grid_sum(ctx, m, stack, psi) / ctx.eps ** 6
+
+
+def _full_grid_band_solve(ctx, lu, F):
+    """The band factor applied in the basis (-1)^j Re rfft(F)_j."""
+    D, factor, piv = lu
+    cut = ctx.grid.N // 3 + 1
+    sign = np.where(np.arange(ctx.grid.N // 2 + 1) % 2 == 0, 1.0, -1.0)
+    coeffs = sign * np.fft.rfft(F.values).real
+    coeffs[:cut] = scipy.linalg.lapack.dgbtrs(factor, D, D, coeffs[:cut], piv)[0]
+    return np.fft.irfft(sign * coeffs, n=ctx.grid.N)
+
+
+@pytest.mark.parametrize("fam", ["cm35", "cm4", "nnn1"])
+@pytest.mark.parametrize("eps", [0.05, 0.2, 0.4])
+def test_half_grid_matches_full_grid_route(request, grid, rng, fam, eps):
+    ctx = lw.LongWaveOperators(request.getfixturevalue(f"prof_{fam}"), grid, eps)
+    lu = ctx._band_lu()
+    v = 0.05 * random_band_limited(grid, rng, even=True)
+    w = 0.05 * random_band_limited(grid, rng, even=True)
+    for out, ref in ((ctx.quadratic(v, w), _full_grid_quadratic(ctx, v, w)),
+                     (ctx.cubic(v), _full_grid_cubic(ctx, v)),
+                     (ctx._band_solve(lu, w), _full_grid_band_solve(ctx, lu, w))):
+        assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(np.abs(ref))

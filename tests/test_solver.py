@@ -13,14 +13,13 @@ def _picard(ctx, tol=1e-12, max_iter=50):
     reference for solve_contraction, same map and same stop."""
     base = ctx.linear_inv(ctx.residual_forcing())
     V = lw.Field.zero(ctx.grid)
-    with ctx.factored():
-        for _ in range(max_iter):
-            G = project_even(ctx.linearized_solve(base + ctx.linear_inv(
-                ctx.eps ** ctx.sigma * ctx.quadratic(V, V)
-                + ctx.eps ** 2 * ctx.cubic_shift(V))))
-            if sobolev_norm(G - V, 1.0) < tol:
-                return G
-            V = G
+    for _ in range(max_iter):
+        G = project_even(ctx.linearized_solve(base + ctx.linear_inv(
+            ctx.eps ** ctx.sigma * ctx.quadratic(V, V)
+            + ctx.eps ** 2 * ctx.cubic_shift(V))))
+        if sobolev_norm(G - V, 1.0) < tol:
+            return G
+        V = G
     raise AssertionError(f"Picard did not converge in {max_iter} steps")
 
 

@@ -194,7 +194,8 @@ def test_pipeline_does_not_import_scipy_signal(tmp_path):
     # importing scipy.signal adds 0.6-0.9 s to set-up (2-core machine, on
     # top of numpy and scipy.linalg); the chirp sums use numpy.fft alone,
     # and classify -> context -> solve -> lattice set-up must not pull it
-    # in through any module
+    # in through any module.  scipy.linalg (about 0.23 s) loads on the
+    # first band solve, so import and classification load no scipy at all
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -203,13 +204,14 @@ def test_pipeline_does_not_import_scipy_signal(tmp_path):
         "import sys\n"
         "import latticewaves as lw\n"
         "prof = lw.certify_type1(lw.build_model(lw.PotentialSpec.nnn(1.0)))\n"
+        "print(any(name.split('.')[0] == 'scipy' for name in sys.modules))\n"
         "ctx = lw.LongWaveOperators(prof, lw.Grid(40.0, 1024), 0.2)\n"
         "lw.init_from_wave(lw.solve_contraction(ctx), 1024)\n"
         "print('scipy.signal' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_csv_exports(tmp_path, grid, sech2):
