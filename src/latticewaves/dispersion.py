@@ -17,22 +17,21 @@ solitary waves exist when ``lambda`` satisfies the "type I" conditions:
 
 ``certify_type1`` checks all four numerically and fits the remainder
 exponent sigma, which controls the size of the correction to the
-leading-order solitary wave.  It samples lambda at k_j = 2 pi R j / n
-(R = 2, n = 4096), where cos(m k_j) depends only on (m R j) mod n: folding
-alpha_m by m mod n and one rfft give theta at all n/2 + 1 distinct phases.
-Near each multiple of 2 pi, 1 - cos cancels and the fold's rounding would be
-amplified by 1/k^2; there theta comes from the sinc series at the phase,
-once per phase.  Condition (iv) is decided on an enclosure of lambda between
-the samples from a bound on |lambda''| (``_sup_enclosure``), plus an
-envelope beyond the grid; condition (iii) stays sampled.
+leading-order solitary wave.  It samples lambda at k_j = j 4 pi / 4096.
+Condition (iv) is decided on an enclosure of lambda between the samples
+from a bound on |lambda''| (``_sup_enclosure``), plus an envelope beyond
+the grid; condition (iii) stays sampled.
 
-The second-order Taylor remainder ``T2(k)`` is the quantity every operator
-estimate rests on; it suffers catastrophic cancellation when formed naively
-(three nearly equal numbers for small k), so it is assembled here from the
-per-term series ``g(y) = sinc^2(y/2) - 1 + y^2/12`` plus exact corrections
-for the truncated coefficient tail.  An operator context needs it on the
-progression k_j = j eps pi / L, where ``TaylorRemainders.t1_t2_progression``
-sums most rows by one chirp-z transform; certificates keep the series.
+Every value of lambda and theta here is ``c0^2 + t1(k)``, with the Taylor
+remainder ``t1(k) = lambda(k) - lambda(0)`` of ``TaylorRemainders``; the
+second remainder ``T2(k)`` is the quantity every operator estimate rests
+on.  Both suffer catastrophic cancellation when formed naively (nearly
+equal numbers for small k), so they are assembled from the per-term
+kernels ``g1(y) = sinc^2(y/2) - 1`` and ``g(y) = g1(y) + y^2/12`` plus
+exact corrections for the coefficient tail.  On a progression k_j = j dk
+(an operator context's eps k_j, the certificate grid)
+``TaylorRemainders.t1_t2_progression`` sums most rows by one chirp-z
+transform.
 """
 
 import math
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificationError, DomainError
+from .errors import DomainError
 from .spectral import chirp_sum
 
 __all__ = [
@@ -52,20 +51,20 @@ __all__ = [
 
 # m-extension cap for small-argument remainder evaluation (power-law family)
 _M_EXT_CAP = 20_000_000
-_CHUNK_BUDGET = 4_000_000  # elements per (m-chunk x k) block
+_CHUNK_BUDGET = 4_000_000  # elements per (m-chunk x k) block of _kernel_sums
 _EPS = float(np.finfo(float).eps)
-# folded phases below this (rad) take theta from the sinc series: there the
-# fold's rounding, amplified by 1/k^2, is no longer below the series'.  Set
-# by comparing the fold with phase_speed_sq at every sample for calogero_moser
-# a = 3.5/4/6, nnn g = 1, classical FPUT and finite_range [1, 0, 0.3]
-_FOLD_PHASE_CUT = 0.6
+# progression points below this k (rad) take the kernel sum over every row,
+# not the chirp: the chirp rows enter as 2 (A0 - C(k)) / k^2, whose rounding
+# 1/k^2 amplifies.  On the certificate grid and on L = 40 contexts at eps
+# 0.05 and 0.4 of calogero_moser a = 3.5/4/6, nnn g = 1, classical FPUT and
+# finite_range [1, 0, 0.3], any cut in [0.05, 1] keeps the progression
+# within 3e-15 c0^2 of lambda and 1.1e-14 of t1, t2 (relative) from t1_t2;
+# 0.6 keeps the values the certificates and solves were checked at
+_CHIRP_K_MIN = 0.6
+# certify_type1 samples lambda on linspace(0, _K_MAX, _N_SAMPLES + 1)
+_K_MAX, _N_SAMPLES = 4.0 * math.pi, 4096
 _K_STAR_CANDIDATES = (0.5, 1.0, 1.5, 2.0)  # k* values certify_type1 tries, in order
 _MU_SAFETY = 1.2  # factor on the sampled mu* of condition (iii)
-
-
-def _sinc(y):
-    """sin(y)/y with the removable singularity filled."""
-    return np.sinc(y / np.pi)
 
 
 def _kernels(y):
@@ -99,70 +98,33 @@ def _kernels(y):
 
 
 def dispersion_relation(model, k):
-    """theta(k) = sum_{m <= M} 4 alpha_m sin^2(m k / 2).
+    """theta(k) = sum_m 4 alpha_m sin^2(m k / 2) = k^2 ``phase_speed_sq``.
 
-    Even, 2pi-periodic, theta(0) = 0.  The truncation error is bounded by
-    4 * (alpha mass beyond M), which is negligible for every built-in family
-    (alpha_m itself decays two powers faster than the slow weighted sums).
+    Even, 2pi-periodic, theta(0) = 0, over the full series.
     """
     k = np.asarray(k, dtype=float)
-    scalar = k.ndim == 0
-    kk = np.atleast_1d(k)
-    m = model.m_values()
-    out = np.zeros_like(kk)
-    step = max(1, _CHUNK_BUDGET // max(1, kk.size))
-    for lo in range(0, model.M, step):
-        mc = m[lo:lo + step]
-        s = np.sin(0.5 * np.outer(mc, kk))
-        out += 4.0 * (model.alpha[lo:lo + step] @ (s * s))
-    return float(out[0]) if scalar else out
+    return k * k * phase_speed_sq(model, k)
 
 
 def phase_speed_sq(model, k):
-    """lambda(k) = sum_{m <= M} alpha_m m^2 sinc^2(m k / 2); lambda(0) = c0^2.
+    """lambda(k) = c0^2 + t1(k) over the full series; lambda(0) = c0^2.
 
-    At k = 0 the certified full-series sound speed is returned so the value
-    does not inherit the array-truncation error of the slow m^2-weighted sum.
+    Even in k; a float for scalar k.  Terms past m_eff follow the tail model
+    of ``TaylorRemainders``.  The cost grows with the explicit rows
+    of ``TaylorRemainders``, m_eff(min |k|) = ceil(8 / min |k|) for the
+    power law (capped at ``_M_EXT_CAP``), M for a table.
     """
     k = np.asarray(k, dtype=float)
-    scalar = k.ndim == 0
-    kk = np.atleast_1d(k)
-    m = model.m_values()
-    out = np.zeros_like(kk)
-    step = max(1, _CHUNK_BUDGET // max(1, kk.size))
-    w = model.alpha * m * m
-    for lo in range(0, model.M, step):
-        mc = m[lo:lo + step]
-        s = _sinc(0.5 * np.outer(mc, kk))
-        out += w[lo:lo + step] @ (s * s)
-    out[kk == 0.0] = model.sum_alpha_m2
-    return float(out[0]) if scalar else out
+    lam = model.sum_alpha_m2 + taylor_remainders(model).t1(k)
+    return float(lam[0]) if k.ndim == 0 else lam
 
 
 def _phase_speed_grid(model, k_max, n):
-    """k = linspace(0, k_max, n + 1) and lambda(k) on it.
-
-    For k_max = 2 pi R, R an integer, by the fold of the module docstring:
-    theta(k_j) is theta at the phase 2 pi q_j / n, q_j = R j mod n folded
-    onto [0, n/2].  Any other k_max takes ``phase_speed_sq`` at every sample.
-    """
-    k = np.linspace(0.0, k_max, n + 1)
-    turns = round(k_max / (2.0 * math.pi))
-    if turns < 1 or k_max != turns * (2.0 * math.pi):
-        return k, phase_speed_sq(model, k)
-    q = (turns * np.arange(n + 1)) % n
-    q = np.minimum(q, n - q)
-    folded = np.bincount(np.arange(1, model.M + 1) % n, weights=model.alpha,
-                         minlength=n)
-    c = np.fft.rfft(folded).real
-    theta = 2.0 * (c[0] - c)
-    zone = np.unique(q[(q > 0) & (q < _FOLD_PHASE_CUT * n / (2.0 * math.pi))])
-    phase = 2.0 * math.pi * zone / n
-    theta[zone] = phase * phase * phase_speed_sq(model, phase)
-    lam = np.empty_like(k)
-    lam[1:] = theta[q[1:]] / (k[1:] * k[1:])
-    lam[0] = model.sum_alpha_m2
-    return k, lam
+    """k = linspace(0, k_max, n + 1) and lambda = c0^2 + t1 on it, from one
+    ``t1_t2_progression`` at dk = k_max / n (linspace's k_j = j dk, apart
+    from the last sample, which linspace sets to k_max)."""
+    t1, _ = taylor_remainders(model).t1_t2_progression(k_max / n, n + 1)
+    return np.linspace(0.0, k_max, n + 1), model.sum_alpha_m2 + t1
 
 
 def long_wave_curvature(model):
@@ -197,7 +159,7 @@ class TaylorRemainders:
     regime of the tail.
 
     ``t1_t2_progression`` gives the same values on k_j = j dk, with the
-    rows past mk = 2 above the fold's cut summed by one ``chirp_sum``.
+    rows past mk = 2 above ``_CHIRP_K_MIN`` summed by one ``chirp_sum``.
     """
 
     model: object = field(repr=False)
@@ -226,7 +188,7 @@ class TaylorRemainders:
         """``t1_t2`` at k_j = j dk, j < n, dk > 0.
 
         m_eff and the tail terms are those of ``t1_t2`` on the whole array
-        (set by k_1 = dk).  Points below ``_FOLD_PHASE_CUT``, where 1 - cos
+        (set by k_1 = dk).  Points below ``_CHIRP_K_MIN``, where 1 - cos
         cancels, take the kernel sum.  Above it, rows m <= m_s = ceil(2 /
         k_first) take the kernels too (they reach y < 2, where g cancels
         against y^2/12).  Rows m_s < m <= m_eff, where
@@ -238,7 +200,7 @@ class TaylorRemainders:
         k = dk * np.arange(n, dtype=float)
         out1, out2 = np.zeros(n), np.zeros(n)
         m_eff = self._m_eff(dk)
-        cut = min(n, math.ceil(_FOLD_PHASE_CUT / dk))
+        cut = min(n, math.ceil(_CHIRP_K_MIN / dk))
         out1[1:cut], out2[1:cut] = self._kernel_sums(k[1:cut], m_eff)
         if cut < n:
             kk = k[cut:]
@@ -387,20 +349,22 @@ class DispersionProfile:
         }
 
 
-def _sup_enclosure(model, k, lam, k_star):
+def _sup_enclosure(model, k, lam, k_star, rows):
     """Upper bound on sup lambda over |k| >= k* from lam sampled at the
-    increasing k.
+    increasing k, each sample summing the rows m <= ``rows`` explicitly.
 
     theta and its first two derivatives are at most 4 A0, 2 A1 and 2 A2 in
     modulus, A_j = sum |alpha_m| m^j over the full series, so lambda =
     theta / k^2 has |lambda''(k)| <= C2(k) = 2 A2/k^2 + 8 A1/k^3 + 24 A0/k^4,
     which decreases in k.  On each interval between k* and the samples
     beyond it, lambda is at most the larger endpoint plus C2(left end)
-    width^2 / 8.  The samples cover the stored alpha_m; the mass beyond M,
-    at most ``tail_alpha_m2`` in every A_j (m^j <= m^2 for m >= 1), adds
-    4 tail_alpha_m2 / k*^2, and the rounding of each sample (a sinc series
-    of M terms or the fold's FFT of the n samples) is allowed for with
-    (M + n) eps (A2 + 4 A0 / k*^2).  Beyond the last sample,
+    width^2 / 8.  The mass beyond M, at most ``tail_alpha_m2`` in every A_j
+    (m^j <= m^2 for m >= 1), adds 4 tail_alpha_m2 / k*^2 (conservative for
+    the power law, whose rows run past M).  A sample is c0^2 plus kernel
+    terms of at most ``rows`` rows, each at most |alpha_m| m^2 in modulus,
+    and the chirp-z sum C(k) of at most ``rows`` alpha_m over an FFT of
+    length >= rows + n, entering as 2 C(k) / k^2; (rows + n) eps (A2 +
+    4 A0 / k*^2) allows for the rounding of both.  Beyond the last sample,
     |lambda| <= 4 A0 / k^2.
     """
     m = model.m_values()
@@ -415,45 +379,40 @@ def _sup_enclosure(model, k, lam, k_star):
     left, width = knots[:-1], np.diff(knots)
     c2 = 2.0 * a2 / left ** 2 + 8.0 * a1 / left ** 3 + 24.0 * a0 / left ** 4
     top = np.maximum(vals[:-1], vals[1:]) + c2 * width * width / 8.0
-    rounding = (model.M + k.size) * _EPS * (a2 + 4.0 * a0 / k_star ** 2)
+    rounding = (rows + k.size) * _EPS * (a2 + 4.0 * a0 / k_star ** 2)
     inside = float(np.max(top)) + 4.0 * tail / k_star ** 2 + rounding
     return max(inside, 4.0 * a0 / k[-1] ** 2)
 
 
-def certify_type1(model, k_max=4.0 * math.pi, n_samples=4096):
+def certify_type1(model):
     """Grid-based certification of the type I conditions.
 
-    lambda is sampled on linspace(0, k_max, n_samples + 1): by the folded
-    FFT, with the sinc series in the cancellation zone near multiples of
-    2 pi, when k_max is a multiple of 2 pi (the default 4 pi), else by the
-    sinc series at every sample.  k* is the smallest candidate for which
+    lambda = c0^2 + t1 is sampled on linspace(0, 4 pi, 4097) by one
+    ``t1_t2_progression``.  k* is the smallest candidate for which
     both condition (iii) inequalities hold on 400 samples of [k*/400, k*]
     with a single constant mu* carrying a safety factor; oscillation
     between those samples is not excluded, and the certificate's note says
     so.  Condition (iv) is decided on ``sup_outside_bound``, which encloses
-    lambda between the samples of [k*, k_max] and beyond k_max
+    lambda between the samples of [k*, 4 pi] and beyond 4 pi
     (``_sup_enclosure``); ``sup_outside`` is the largest sample there.
     Failures never raise: they are recorded in the certificate flags.
     """
-    if n_samples < 2048:
-        raise DomainError("certification needs n_samples >= 2048")
-    if k_max < 4.0 * math.pi - 1e-12:
-        raise DomainError("certification needs k_max >= 4*pi")
-
     c0_sq = float(model.sum_alpha_m2)
     ldd0 = float(long_wave_curvature(model))
     cond2 = bool(ldd0 < 0.0)
 
-    kk, lam = _phase_speed_grid(model, k_max, n_samples)
+    kk, lam = _phase_speed_grid(model, _K_MAX, _N_SAMPLES)
     kk, lam = kk[1:], lam[1:]
 
+    # lambda = sum alpha_m m^2 sinc^2(m k / 2) is at least the negative
+    # alpha_m m^2 mass at every k; a sample can only undercut it by rounding
     neg_mass = float(np.sum(np.clip(-model.alpha, 0.0, None)
                             * model.m_values() ** 2))
-    lambda_lower = float(min(np.min(lam), 0.0 if neg_mass == 0.0 else -neg_mass))
-    cond1 = math.isfinite(lambda_lower)
+    lambda_lower = -neg_mass if neg_mass > 0.0 else 0.0
+    cond1 = bool(np.all(np.isfinite(lam)))
 
     notes = ["grid-sampled certificate: inequalities checked on "
-             f"{n_samples} samples up to k_max={k_max:.6g}; oscillation "
+             f"{_N_SAMPLES} samples up to k_max={_K_MAX:.6g}; oscillation "
              "between samples is not excluded"]
 
     tr = taylor_remainders(model)
@@ -487,7 +446,8 @@ def certify_type1(model, k_max=4.0 * math.pi, n_samples=4096):
     if cond3:
         outside = lam[kk >= k_star]
         sup_outside = float(np.max(outside)) if outside.size else -math.inf
-        sup_outside_bound = _sup_enclosure(model, kk, lam, k_star)
+        sup_outside_bound = _sup_enclosure(model, kk, lam, k_star,
+                                           tr._m_eff(_K_MAX / _N_SAMPLES))
         cond4 = bool(sup_outside_bound < c0_sq)
         if cond4:
             notes[0] = ("condition (iii) is checked on 400 samples of "
@@ -516,7 +476,7 @@ def theta_power4_closed(k):
 
         (2/9) pi^4 k^2 - (5/18) pi^2 k^4 + (1/6) pi |k| k^4 - k^6 / 36.
 
-    Used as an independent cross-check of the sine series.
+    Used as an independent cross-check of ``dispersion_relation``.
     """
     k = np.asarray(k, dtype=float)
     kr = np.mod(k + np.pi, 2.0 * np.pi) - np.pi

@@ -126,12 +126,12 @@ class LongWaveOperators:
     cubic remainder vanishes (used by the independent fixed-point oracle).
 
     The per-m field sums (quadratic/cubic operators) run over
-    ``m_apply = min(M, 512)`` ranges and the neglected coefficient mass is
-    kept on ``quadratic_tail_bound`` so consumers can account for it.  The
-    linear multipliers always use the model's full coefficient table plus
-    certified tail corrections, evaluated on the grid's progression
-    eps k_j = j eps pi / L by ``TaylorRemainders.t1_t2_progression`` (one
-    chirp-z transform above 0.6 rad).  eps must lie in [0, 0.5].
+    ``m_apply = min(M, 512)`` ranges; the coefficient mass beyond them is
+    neglected.  The linear multipliers always use the model's full
+    coefficient table plus certified tail corrections, evaluated on the
+    grid's progression eps k_j = j eps pi / L by
+    ``TaylorRemainders.t1_t2_progression`` (one chirp-z transform above
+    0.6 rad).  eps must lie in [0, 0.5].
     """
 
     def __init__(self, profile, grid, eps, sigma=None):
@@ -181,9 +181,6 @@ class LongWaveOperators:
         self._m_col = m[:, None]
         self._q_weights = (model.beta[:self.m_apply] * m ** 3)[:, None]
         self._sinc_stack = _sinc(0.5 * self.eps * np.outer(m, k))
-        mm = model.m_values()
-        inner = model.beta[self.m_apply:] * mm[self.m_apply:] ** 3
-        self.quadratic_tail_bound = float(np.sum(np.abs(inner))) + model.tail_beta_m3
 
         amp = -1.5 * self.lambda_dd0 / (2.0 * self.b)
         x = grid.dx * np.arange(grid.N // 2 + 1)
@@ -312,6 +309,9 @@ class LongWaveOperators:
 
     def cubic_shift(self, V):
         """N_eps(V) = eps^-sigma [P_eps(W0 + eps^sigma V) - P_eps(W0)]."""
+        if self.eps == 0.0:
+            raise ConfigError(
+                f"cubic shift is defined for eps > 0, got eps = {self.eps}")
         shifted = self.background + self.eps ** self.sigma * V
         diff = self.cubic(shifted) - self._cubic_background()
         return self.eps ** (-self.sigma) * diff

@@ -151,8 +151,8 @@ def test_cm_config(tmp_path):
 
 
 def test_cm_lambda_csv_matches_series(tmp_path):
-    # M = 3037 > 1023 intervals, so the folded FFT wraps; the k column is
-    # the one the sine series was written on, byte for byte
+    # the k column is linspace(0, 4 pi, 1024) byte for byte, and lambda
+    # (one progression, M = 3037 rows) matches the kernel sums of t1_t2
     cfg = tmp_path / "cm.ini"
     cfg.write_text(
         "[model]\nfamily = calogero_moser\na = 4.0\ntrunc_tol = 1e-8\n"

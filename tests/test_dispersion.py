@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import latticewaves as lw
-from latticewaves import dispersion
 from latticewaves.dispersion import _phase_speed_grid, taylor_remainders
 
 # the built-in families with a type I certificate; the first four are
@@ -74,24 +73,26 @@ class TestThetaLambda:
 
 
 class TestPhaseSpeedGrid:
-    """lambda on linspace(0, 2 pi R, n + 1) by the folded FFT."""
+    """lambda = c0^2 + t1 on linspace(0, k_max, n + 1) by one
+    ``t1_t2_progression``."""
 
     @pytest.mark.parametrize("n", [4096, 1023])
     @pytest.mark.parametrize("name", TYPE1)
     def test_matches_series_at_every_sample(self, request, name, n):
-        # cm35 has M = 13,838 > n, so the fold wraps
+        # the progression's chirp rows against the kernel rows of t1_t2
         model = _model(request, name)
         k, lam = _phase_speed_grid(model, 4.0 * np.pi, n)
         assert np.array_equal(k, np.linspace(0.0, 4.0 * np.pi, n + 1))
         assert lam[0] == model.sum_alpha_m2
         ref = lw.phase_speed_sq(model, k)
-        assert np.max(np.abs(lam - ref)) <= 5e-14 * model.sum_alpha_m2
+        assert np.max(np.abs(lam - ref)) <= 2e-14 * model.sum_alpha_m2
 
     @pytest.mark.parametrize("name", ["cm35", "finite_range"])
     def test_against_mpmath(self, request, name):
         # the sample nearest each point, against the stored-coefficient sum
-        # at 30 digits; 2 pi +- h and the first sample sit in the zone where
-        # 1 - cos cancels
+        # at 30 digits; 2 pi +- h and the first sample sit where 1 - cos
+        # cancels.  For cm35 m_eff = M, and c0^2 less the tail term of t1
+        # is the stored sum of alpha_m m^2, so this is the value aimed at.
         mpmath = pytest.importorskip("mpmath")
         model = _model(request, name)
         n = 4096
@@ -105,23 +106,27 @@ class TestPhaseSpeedGrid:
                 for m, al in enumerate(model.alpha, start=1):
                     acc += al * (1 - mpmath.cos(m * kj))
                 ref = float(2 * acc / kj ** 2)
-            assert abs(lam[j] - ref) <= 5e-14 * model.sum_alpha_m2, target
+            assert abs(lam[j] - ref) <= 2e-15 * model.sum_alpha_m2, target
 
-    def test_other_k_max_takes_the_series(self, cm4, monkeypatch):
-        sizes = []
-        series = dispersion.phase_speed_sq
-
-        def recording(model, k):
-            sizes.append(np.size(k))
-            return series(model, k)
-
-        monkeypatch.setattr(dispersion, "phase_speed_sq", recording)
-        prof = lw.certify_type1(cm4, k_max=5.0 * np.pi)
-        assert sizes[0] == 4097
-        assert prof.type1_certified
-        sizes.clear()
-        lw.certify_type1(cm4)
-        assert max(sizes) < 4097
+    def test_cm6_against_full_series(self, cm6):
+        # alpha_m = 42 m^-8 for every m >= 1, so sum_m alpha_m cos(mk) is
+        # -42 (2 pi)^8 B_8(k / 2 pi) / (2 8!) on [0, 2 pi] (DLMF 24.8.1)
+        # and lambda(k) = 2 (sum_m alpha_m (1 - cos mk)) / k^2 over all m;
+        # M = 144 stored terms fall 3e-12 c0^2 short of it at k = h
+        mpmath = pytest.importorskip("mpmath")
+        n = 4096
+        k, lam = _phase_speed_grid(cm6, 4.0 * np.pi, n)
+        h = 2.0 * np.pi / 2048
+        for target in (h, 0.25, 1.0, 3.0, 2.0 * np.pi - h, 2.0 * np.pi + h,
+                       6.0, 4.0 * np.pi):
+            j = int(round(target / h))
+            with mpmath.workdps(40):
+                kj = mpmath.mpf(k[j])
+                x = mpmath.frac(kj / (2 * mpmath.pi))
+                cos_sum = -(2 * mpmath.pi) ** 8 * mpmath.bernpoly(8, x) / (
+                    2 * mpmath.factorial(8))
+                ref = float(2 * 42 * (mpmath.zeta(8) - cos_sum) / kj ** 2)
+            assert abs(lam[j] - ref) <= 2e-15 * cm6.sum_alpha_m2, target
 
 
 class TestCurvature:
@@ -334,6 +339,9 @@ class TestCertification:
         assert prof.type1_certified
         assert prof.sup_outside <= prof.sup_outside_bound < prof.c0_sq
         assert prof.to_dict()["sup_outside_bound"] == prof.sup_outside_bound
+        # every alpha_m >= 0, so lambda >= 0 although the cm6 samples at
+        # 2 pi and 4 pi round to -1.4e-14
+        assert prof.lambda_lower == 0.0
         assert prof.notes[0].startswith("condition (iii)")
 
     @pytest.mark.parametrize("name", ["cm6", "nnn1", "fput", "finite_range"])
@@ -363,12 +371,6 @@ class TestCertification:
         prof = lw.certify_type1(lw.build_model(lw.PotentialSpec.nnn(-0.2)))
         assert prof.sup_outside_bound is None
         assert "not excluded" in prof.notes[0]
-
-    def test_preconditions(self, cm4):
-        with pytest.raises(lw.DomainError):
-            lw.certify_type1(cm4, n_samples=1000)
-        with pytest.raises(lw.DomainError):
-            lw.certify_type1(cm4, k_max=2.0)
 
     def test_to_dict_roundtrippable(self, prof_cm4):
         import json

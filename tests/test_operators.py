@@ -265,6 +265,11 @@ class TestCubicShift:
         out = ctx_cm4.cubic_shift(lw.Field.zero(grid))
         assert sobolev_norm(out, 1.0) < 1e-15
 
+    def test_kdv_limit_rejected(self, prof_nnn1):
+        ctx = lw.LongWaveOperators(prof_nnn1, lw.Grid(40.0, 256), 0.0)
+        with pytest.raises(lw.ConfigError, match=r"eps > 0, got eps = 0\.0"):
+            ctx.cubic_shift(ctx.background)
+
     def test_lipschitz_probe(self, ctx_cm4, grid, rng):
         pairs = []
         for _ in range(5):
