@@ -3,9 +3,9 @@
 One INI config file drives every subcommand; it is parsed once, by
 ``_load_config``, into a frozen ``RunConfig`` whose fields are the keys of
 ``_TABLE`` (the README lists them with their meaning).  Outputs are
-deterministic for a fixed config and seed, and every file embeds the
-config hash for provenance.  Exit code 0 means every check the subcommand
-ran passed its threshold; a bad config exits 2 naming what failed.
+deterministic for a fixed config, and every file embeds the config hash
+for provenance.  Exit code 0 means every check the subcommand ran passed
+its threshold; a bad config exits 2 naming what failed.
 """
 
 import argparse
@@ -61,11 +61,9 @@ _TABLE = {  # section -> key -> (parser, default); None means unset
     "solver": {
         "eps": (float, 0.1),
         "eps_list": (_floats, (0.4, 0.28, 0.2, 0.14, 0.1)),
-        "sigma_override": (float, None),
         "tol": (float, 1e-12),
         "max_iter": (int, 50),
         "method": (_choice("contraction", "petviashvili", "both"), "contraction"),
-        "workers": (int, 1),
     },
     "simulate": {
         "J": (int, 4096),
@@ -74,7 +72,7 @@ _TABLE = {  # section -> key -> (parser, default); None means unset
         "m_force": (int, None),
         "checkpoints": (int, 100),
     },
-    "output": {"dir": (str, "out"), "seed": (int, 0)},
+    "output": {"dir": (str, "out")},
 }
 _REQUIRED = {  # [model] keys a family cannot do without
     "calogero_moser": ("a",),
@@ -179,9 +177,7 @@ def _certify(cfg, args, out):
     model = _build_model(cfg)
     profile = certify_type1(model)
     _write_lambda(model, cfg.sha256, out)
-    payload = profile.to_dict()
-    payload["seed"] = cfg.seed
-    _write_json(out / "certificate.json", payload, cfg.sha256)
+    _write_json(out / "certificate.json", profile.to_dict(), cfg.sha256)
     _say(args, f"type1={profile.type1_certified} sigma={profile.sigma} "
                f"k_star={profile.k_star} (certificate.json, lambda.csv/svg)")
     return model, profile
@@ -199,7 +195,7 @@ def cmd_solve(cfg, args):
         _say(args, "model is not type I; no wave to solve for")
         return 1
     grid = Grid(L=cfg.L, N=cfg.N)
-    ctx = LongWaveOperators(profile, grid, cfg.eps, sigma=cfg.sigma_override)
+    ctx = LongWaveOperators(profile, grid, cfg.eps)
     solutions = []
     if cfg.method in ("contraction", "both"):
         solutions.append(solve_contraction(ctx, tol=cfg.tol, max_iter=cfg.max_iter))
@@ -211,7 +207,6 @@ def cmd_solve(cfg, args):
                zip(grid.x, sol.W.values, sol.V.values, w0.values))
     payload = sol.to_dict()
     payload["profile_csv"] = "profile.csv"
-    payload["seed"] = cfg.seed
     if len(solutions) == 2:
         agree = (solutions[0].W - solutions[1].W).norm(1.0)
         payload["method_agreement_H1"] = agree
@@ -234,8 +229,7 @@ def cmd_sweep(cfg, args):
     if not profile.type1_certified:
         return 1
     report = scaling_sweep(profile, Grid(L=cfg.L, N=cfg.N), cfg.eps_list,
-                           sigma=cfg.sigma_override, tol=cfg.tol,
-                           max_iter=cfg.max_iter, workers=cfg.workers)
+                           tol=cfg.tol, max_iter=cfg.max_iter)
     _write_csv(out / "sweep.csv", cfg.sha256, "eps,diff_H1,residual,iterations",
                report.rows())
     payload = {
@@ -243,7 +237,6 @@ def cmd_sweep(cfg, args):
         "sigma_expected": report.sigma_expected,
         "eps": list(report.eps),
         "failures": [f for f in report.failures if f],
-        "seed": cfg.seed,
     }
     _write_json(out / "sweep.json", payload, cfg.sha256)
     ok = (math.isfinite(report.slope)
@@ -259,10 +252,10 @@ def cmd_simulate(cfg, args):
     if not profile.type1_certified:
         return 1
     grid = Grid(L=cfg.L, N=cfg.N)
-    if cfg.eps > 0.0 and cfg.eps * cfg.J < 4.0 * grid.L:
+    ctx = LongWaveOperators(profile, grid, cfg.eps)
+    if cfg.eps * cfg.J < 4.0 * grid.L:
         raise ConfigError(
             f"[simulate] J={cfg.J} too short for eps={cfg.eps}: need eps*J >= 4L")
-    ctx = LongWaveOperators(profile, grid, cfg.eps, sigma=cfg.sigma_override)
     sol = solve_contraction(ctx, tol=cfg.tol, max_iter=cfg.max_iter)
     report = run_and_verify(sol, cfg.J, cfg.T, dt=cfg.dt, m_force=cfg.m_force,
                             checkpoints=cfg.checkpoints)
@@ -270,7 +263,6 @@ def cmd_simulate(cfg, args):
                report.trajectory)
     payload = report.to_dict()
     payload["solver_residual_H1"] = sol.residual_H1
-    payload["seed"] = cfg.seed
     _write_json(out / "report.json", payload, cfg.sha256)
     _say(args, f"speed error {report.speed_rel_error:.3e}, shape error "
                f"{report.shape_error_max:.3e}, drift {report.energy_drift:.3e}")
@@ -303,11 +295,9 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="override [output] dir")
     parser.add_argument("--eps", type=float, default=None,
                         help="override [solver] eps")
-    parser.add_argument("--sigma", type=float, default=None,
-                        help="override the certified scaling exponent")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
-    overrides = {"dir": args.out, "eps": args.eps, "sigma_override": args.sigma}
+    overrides = {"dir": args.out, "eps": args.eps}
     try:
         cfg = dataclasses.replace(
             _load_config(args.config),

@@ -35,10 +35,10 @@ j < cut = N//3 + 1 (the identity on the modes at and above the cut)::
     K(j, j') = (1/N) sum_m beta_m m^3 s_m(j) s_m(j')
                [s_m(j - j') c0(|j - j'|) + [j' > 0] s_m(j + j') c0(j + j')]
 
-with ``s_m(j) = sinc(eps m k_j / 2)`` (1 at eps = 0, where the m-sum is b)
-and ``c0`` the coefficients of the cut W0.  These fall below 2^-53 of
-their largest value past an index D (166 on the L = 40 box), so K has
-half-bandwidth D; ``linearized_solve`` factors it once with a band LU.
+with ``s_m(j) = sinc(eps m k_j / 2)`` and ``c0`` the coefficients of the
+cut W0.  These fall below 2^-53 of their largest value past an index D
+(166 on the L = 40 box), so K has half-bandwidth D; ``linearized_solve``
+factors it once with a band LU.
 """
 
 import numpy as np
@@ -120,10 +120,9 @@ class LongWaveOperators:
     P_eps(W0)) and of the band factor of L_eps, which the first
     ``linearized_solve`` builds and the context keeps for its life; all
     methods are pure field-to-field maps, so distinct contexts can be
-    evaluated concurrently.  ``eps = 0``
-    constructs the KdV-limit context in which the quadratic term becomes
-    b*V*W, the linear operator its constant-coefficient limit, and the
-    cubic remainder vanishes (used by the independent fixed-point oracle).
+    evaluated concurrently.  The correction exponent sigma is the
+    profile's certified one (type I condition (iii)); the ``*_limit``
+    methods give the eps -> 0 operators the rearranged forcing subtracts.
 
     The per-m field sums (quadratic/cubic operators) run over
     ``m_apply = min(M, 512)`` ranges; the coefficient mass beyond them is
@@ -131,13 +130,13 @@ class LongWaveOperators:
     coefficient table plus certified tail corrections, evaluated on the
     grid's progression eps k_j = j eps pi / L by
     ``TaylorRemainders.t1_t2_progression`` (one chirp-z transform above
-    0.6 rad).  eps must lie in [0, 0.5].
+    0.6 rad).  eps must lie in (0, 0.5].
     """
 
-    def __init__(self, profile, grid, eps, sigma=None):
+    def __init__(self, profile, grid, eps):
         model = profile.model
-        if eps < 0.0 or eps > _EPS_MAX:
-            raise ConfigError(f"eps={eps} outside [0, {_EPS_MAX}]")
+        if not 0.0 < eps <= _EPS_MAX:
+            raise ConfigError(f"eps={eps} outside (0, {_EPS_MAX}]")
         if profile.lambda_dd0 >= 0.0:
             raise CertificationError(
                 "wrong dispersion type: lambda''(0) >= 0 admits no "
@@ -149,7 +148,7 @@ class LongWaveOperators:
         self.profile = profile
         self.grid = grid
         self.eps = float(eps)
-        self.sigma = float(profile.sigma if sigma is None else sigma)
+        self.sigma = float(profile.sigma)
         self.m_apply = int(min(model.M, _M_APPLY))
         self._cut = grid.N // 3 + 1  # first zeroed coefficient (2/3 rule)
 
@@ -161,14 +160,10 @@ class LongWaveOperators:
         k = grid.k
         half = 0.5 * abs(self.lambda_dd0)
         self._mult_b0 = half * (1.0 + k * k)
-        if self.eps == 0.0:
-            self._mult_b = self._mult_b0.copy()
-            self._mult_bdiff = np.zeros_like(k)
-        else:
-            t1, t2 = taylor_remainders(model).t1_t2_progression(
-                self.eps * np.pi / grid.L, k.size)
-            self._mult_b = half - t1 / self.eps ** 2
-            self._mult_bdiff = -t2 / self.eps ** 2
+        t1, t2 = taylor_remainders(model).t1_t2_progression(
+            self.eps * np.pi / grid.L, k.size)
+        self._mult_b = half - t1 / self.eps ** 2
+        self._mult_bdiff = -t2 / self.eps ** 2
         lo_bound = half * (1.0 - 1e-6)
         if np.min(self._mult_b) < lo_bound:
             raise CertificationError(
@@ -223,8 +218,6 @@ class LongWaveOperators:
     def multiplier_bounds(self):
         """(lower, upper) pinch for the linear symbol on this grid."""
         half = 0.5 * abs(self.lambda_dd0)
-        if self.eps == 0.0:
-            return half, float(np.max(self._mult_b))
         upper = (self.c0_sq - self.profile.lambda_lower) / self.eps ** 2 + half
         return half, upper
 
@@ -253,8 +246,6 @@ class LongWaveOperators:
 
     def quadratic(self, V, W):
         """Averaged quadratic interaction; symmetric bilinear in (V, W)."""
-        if self.eps == 0.0:
-            return self.quadratic_limit(V, W)
         av = self._rows(V)
         aw = av if W is V else self._rows(W)
         return self._row_sum(self._q_weights, av * aw)
@@ -271,8 +262,6 @@ class LongWaveOperators:
         must stay within the expansion radius m*delta*, otherwise the model
         raises naming the offending interaction range.
         """
-        if self.eps == 0.0:
-            return Field.zero(self.grid)
         eta = self.eps ** 2 * self._m_col * self._rows(W)
         psi = self.model.psi_prime(self._m_col, eta)
         return self.eps ** -6 * self._row_sum(self._m_col, psi)
@@ -292,8 +281,6 @@ class LongWaveOperators:
         which avoids forming the O(eps^-sigma) cancellation between the raw
         linear and quadratic terms at small eps.
         """
-        if self.eps == 0.0:
-            raise ConfigError("forcing is defined for eps > 0")
         w0 = self.background
         qdiff = self.quadratic(w0, w0) - self.quadratic_limit(w0, w0)
         total = (-1.0 * self.linear_diff(w0) + qdiff
@@ -309,9 +296,6 @@ class LongWaveOperators:
 
     def cubic_shift(self, V):
         """N_eps(V) = eps^-sigma [P_eps(W0 + eps^sigma V) - P_eps(W0)]."""
-        if self.eps == 0.0:
-            raise ConfigError(
-                f"cubic shift is defined for eps > 0, got eps = {self.eps}")
         shifted = self.background + self.eps ** self.sigma * V
         diff = self.cubic(shifted) - self._cubic_background()
         return self.eps ** (-self.sigma) * diff
@@ -326,8 +310,6 @@ class LongWaveOperators:
         return V - 2.0 * self.linear_inv(self._quadratic_background(V))
 
     def _quadratic_background(self, V):
-        if self.eps == 0.0:
-            return self.quadratic_limit(self.background, V)
         if self._aw0 is None:
             # a copy, so the cache does not pin the full-width transform
             self._aw0 = self._rows(self.background).copy()
@@ -341,9 +323,7 @@ class LongWaveOperators:
         keeps the factor for later calls.  One transform application of
         ``linearized`` checks the result against the relative residual
         target 1e-11; up to two refinement steps follow a miss, after
-        which a SolverError reports the residual.  (At eps = 0 the limit
-        product b W0 V does not cut V, so modes of F past the cut leak
-        into the band and cost one refinement step.)
+        which a SolverError reports the residual.
         """
         f = self._field(self._half(F))
         fnorm = float(np.linalg.norm(f.values))
@@ -386,10 +366,7 @@ class LongWaveOperators:
         N, cut = self.grid.N, self._cut
         c0 = self._cut_dct(self._half(self.background))[:cut]
         D = int(np.flatnonzero(np.abs(c0) > 2.0 ** -53 * np.max(np.abs(c0)))[-1])
-        if self.eps == 0.0:
-            S, w = np.ones((1, cut)), np.array([self.b])
-        else:
-            S, w = self._sinc_stack[:, :cut], self._q_weights[:, 0]
+        S, w = self._sinc_stack[:, :cut], self._q_weights[:, 0]
         scale = -2.0 / (N * self._mult_b[:cut])
         ab = np.zeros((3 * D + 1, cut))
         for d in range(D + 1):

@@ -62,7 +62,7 @@ min d): each bond stretch is a difference of two displacements.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -128,7 +128,7 @@ def init_from_wave(sol, J, j_c=None, m_force=None):
     """
     ctx = sol.ctx
     grid, eps = ctx.grid, sol.eps
-    if eps > 0.0 and eps * J < 4.0 * grid.L:
+    if eps * J < 4.0 * grid.L:
         raise ConfigError(f"lattice too short: eps*J = {eps * J} < 4L = {4 * grid.L}")
     if j_c is None:
         j_c = J // 4
@@ -460,24 +460,9 @@ class VerificationReport:
                 and self.energy_drift <= drift_tol)
 
     def to_dict(self):
-        return {
-            "speed_measured": self.speed_measured,
-            "speed_predicted": self.speed_predicted,
-            "speed_rel_error": self.speed_rel_error,
-            "shape_error_max": self.shape_error_max,
-            "energy_drift": self.energy_drift,
-            "T": self.T, "dt": self.dt, "J": self.J,
-            "m_force": self.m_force, "steps": self.steps,
-            "early_stopped": self.early_stopped,
-            "force_path": self.force_path,
-            "series_terms": self.series_terms,
-            "series_bound": self.series_bound,
-            "range_tail_bound": self.range_tail_bound,
-            "strain_max": self.strain_max,
-            "spread_max": self.spread_max,
-            "integrator": self.integrator,
-            "omega_max_dt": self.omega_max_dt,
-        }
+        """Every field but ``trajectory``, which goes to its own CSV."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "trajectory"}
 
 
 def _shifted(reference_fft, kappa, shift, J):
@@ -511,7 +496,7 @@ def run_and_verify(sol, J, T, dt=None, j_c=None, m_force=None,
             f"omega_max={omega_max:.6g}, omega_max*dt={omega_max * dt:.6g}, "
             f"so dt <= {0.5 * math.pi / omega_max:.6g}")
     sign = math.copysign(1.0, -1.5 * ctx.lambda_dd0 / (2.0 * ctx.b))
-    guard = int(0.5 * ctx.grid.L / max(sol.eps, 1e-6))
+    guard = int(0.5 * ctx.grid.L / sol.eps)
 
     r0 = state.strain()
     r0_fft = np.fft.fft(r0)

@@ -210,9 +210,7 @@ def solve_petviashvili(ctx, tol=1e-12, max_iter=500):
     W = ctx.background
     w0_norm = sobolev_norm(W, 1.0)
     for n in range(1, max_iter + 1):
-        K = ctx.quadratic(W, W)
-        if ctx.eps > 0.0:
-            K = K + ctx.eps ** 2 * ctx.cubic(W)
+        K = ctx.quadratic(W, W) + ctx.eps ** 2 * ctx.cubic(W)
         num = dx * float(np.dot(W.values, ctx.linear(W).values))
         den = dx * float(np.dot(W.values, K.values))
         if den == 0.0 or num / den <= 0.0:
@@ -225,8 +223,7 @@ def solve_petviashvili(ctx, tol=1e-12, max_iter=500):
         if sobolev_norm(W, 1.0) > 10.0 * w0_norm:
             raise SolverError(f"oracle divergence at eps={ctx.eps}")
         if abs(S - 1.0) < tol and inc < tol:
-            V = ctx.eps ** (-ctx.sigma) * (W - ctx.background) \
-                if ctx.eps > 0.0 else W - ctx.background
+            V = ctx.eps ** (-ctx.sigma) * (W - ctx.background)
             return _package(ctx, V, n, "petviashvili")
     raise SolverError(
         f"petviashvili did not converge in {max_iter} iterations")
@@ -248,25 +245,20 @@ class SweepReport:
         return list(zip(self.eps, self.diff_H1, self.residuals, self.iterations))
 
 
-def scaling_sweep(profile, grid, eps_list, sigma=None, tol=1e-12,
-                  max_iter=50, workers=1):
+def scaling_sweep(profile, grid, eps_list, tol=1e-12, max_iter=50):
     """Solve along ``eps_list`` and fit the correction scaling exponent.
 
     Records ||W_eps - W0||_{H^1} per eps and the least-squares log-log
     slope; the exponent certified on the dispersion profile is the expected
-    value.  Individual solve failures are recorded and excluded from the
-    fit (partial report).
-
-    Solves are independent per eps (contexts share nothing mutable), so
-    ``workers > 1`` runs them on a thread pool; results are identical to
-    the serial order.
+    value, and each context corrects with it.  Individual solve failures
+    are recorded and excluded from the fit (partial report).
     """
     if len(eps_list) < 5:
         raise SolverError("scaling sweep needs at least 5 eps values")
     _check_max_iter(max_iter)
 
     def one(eps):
-        ctx = LongWaveOperators(profile, grid, eps, sigma=sigma)
+        ctx = LongWaveOperators(profile, grid, eps)
         try:
             sol = solve_contraction(ctx, tol=tol, max_iter=max_iter)
             return (sobolev_norm(sol.W - ctx.background, 1.0),
@@ -274,12 +266,7 @@ def scaling_sweep(profile, grid, eps_list, sigma=None, tol=1e-12,
         except SolverError as exc:
             return math.nan, math.nan, 0, str(exc)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, eps_list))
-    else:
-        rows = [one(eps) for eps in eps_list]
+    rows = [one(eps) for eps in eps_list]
     diffs, resids, iters, fails = (list(col) for col in zip(*rows))
     eps_arr = np.asarray(eps_list, dtype=float)
     d_arr = np.asarray(diffs)

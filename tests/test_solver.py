@@ -48,10 +48,6 @@ class TestLeadingOrder:
 
 
 class TestWaveSpeed:
-    def test_zero_eps_is_sound_speed(self, prof_cm4, grid):
-        ctx = lw.LongWaveOperators(prof_cm4, grid, 0.0)
-        assert lw.wave_speed_sq(ctx) == pytest.approx(prof_cm4.c0_sq, abs=1e-14)
-
     def test_cm4_value(self, ctx_cm4):
         expect = 2.0 * np.pi ** 4 / 9.0 + np.pi ** 2 / 360.0
         assert lw.wave_speed_sq(ctx_cm4) == pytest.approx(expect, abs=1e-10)
@@ -181,13 +177,6 @@ class TestPetviashvili:
         for ctx, sol in ((ctx_cm4, sol_cm4), (ctx_nnn1, sol_nnn1)):
             orac = lw.solve_petviashvili(ctx, tol=1e-12)
             assert sobolev_norm(orac.W - sol.W, 1.0) <= 1e-6
-
-    def test_limit_recovers_leading_order(self, prof_cm4, grid):
-        # with eps = 0 the iteration solves the KdV-type limit equation and
-        # must return its known sech^2 solution
-        ctx0 = lw.LongWaveOperators(prof_cm4, grid, 0.0)
-        sol = lw.solve_petviashvili(ctx0, tol=1e-13)
-        assert sobolev_norm(sol.W - ctx0.background, 1.0) <= 1e-9
 
 
 class TestScalingSweep:
