@@ -11,7 +11,7 @@ with
   |lambda''(0)|/2 and (c0^2 - inf lambda)/eps^2 + |lambda''(0)|/2 for
   type I lattices;
 * ``Q_eps``  -- the quadratic sum  sum_m beta_m m^3 A_em[(A_em V)(A_em W)]
-  over sliding averages ``A_h`` of width h = eps*m;
+  over sliding averages ``A_h`` of width h = eps*m, m <= M;
 * ``P_eps``  -- the cubic-and-higher remainder sum
   eps^-6 sum_m m A_em[psi_m'(m eps^2 A_em W)].
 
@@ -38,19 +38,43 @@ j < cut = N//3 + 1 (the identity on the modes at and above the cut)::
 with ``s_m(j) = sinc(eps m k_j / 2)`` and ``c0`` the coefficients of the
 cut W0.  These fall below 2^-53 of their largest value past an index D
 (166 on the L = 40 box), so K has half-bandwidth D; ``linearized_solve``
-factors it once with a band LU.
+factors it once with a band LU.  With the triple kernel
+``T(p, q) = sum_m w_m s_m(p) s_m(q) s_m(p + q)``, w_m = beta_m m^3::
+
+    K(j, j') = (1/N) [T(j', j - j') c0(|j - j'|) + [j' > 0] T(j, j') c0(j + j')],
+    Q_eps(V, W)^(j) = (1/N) sum_{j1 + j2 = j} T(j1, j2) V^(j1) W^(j2).
+
+Both sum the rows m <= 16 one by one and all rows 16 < m <= M at once.
+With t = eps k, ``sin a sin b sin c = [sin 2b + sin 2c - sin 2a]/4`` for
+a = b + c turns the far rows of T into::
+
+    T_far = 2 [sig(t_p) + sig(t_q) - sig(t_p + t_q)] / (t_p t_q (t_p + t_q)),
+    sig(t) = sum_{m > 16} beta_m (sin(m t) - m t)
+
+(the linear parts cancel), a separable kernel: on the modes of V and W
+away from zero it is three products of fields whose spectra are V^/t,
+sig V^/t and the same for W.  Where one of the three wavenumbers is zero
+the other two have the same size t, and T_far is
+``Msym(t) = sum_{m > 16} w_m sinc^2(m t / 2)``: a mean V0 of V enters as
+V0 Msym W^, and the output mean is ``(1/N) sum_j Msym(t_j) V^(j) W^(-j)``.
+sig and Msym are built once per context on the progression
+t_j = j eps pi / L.
 """
+
+import math
 
 import numpy as np
 
 from .catalog import b_coefficient
-from .dispersion import long_wave_curvature, taylor_remainders
+from .dispersion import _CHIRP_K_MIN, long_wave_curvature, taylor_remainders
 from .errors import CertificationError, ConfigError, DomainError, SolverError
-from .spectral import Field, apply_multiplier
+from .spectral import Field, apply_multiplier, chirp_sum
 
 __all__ = ["moving_average", "averaging_defect", "LongWaveOperators"]
 
-_M_APPLY = 512          # per-m FFT sums get expensive beyond this
+_M_APPLY = 512          # rows of the cubic sum P (per-m FFTs cost more past it)
+_M_NEAR = 16            # rows of Q and K summed one by one (the rest in closed form)
+_ROW_BUDGET = 500_000   # elements per (m-chunk x t) block of _far_symbols
 _EPS_MAX = 0.5          # largest eps a context accepts
 _SOLVE_RTOL = 1e-11     # accepted relative residual of a linearized solve
 _REFINE_STEPS = 2       # band-solve refinements before a solve gives up
@@ -97,6 +121,53 @@ def averaging_defect(field, width):
     return apply_multiplier(field, lambda k: 0.25 * _defect_symbol(0.5 * width * k))
 
 
+def _sin_defect(y):
+    """sin(y) - y for y > 0; a Taylor series below y = 1, where the
+    difference cancels (dropped terms below 1e-19 of it)."""
+    out = np.sin(y) - y
+    small = y < 1.0
+    y2 = y[small] ** 2
+    s = 1.0 - y2 / 420.0
+    for d in (342.0, 272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):
+        s = 1.0 - y2 / d * s
+    out[small] = -(y[small] * y2 / 6.0) * s
+    return out
+
+
+def _far_symbols(beta, dt, n):
+    """sig(t) = sum_{m > _M_NEAR} beta_m (sin(m t) - m t) and
+    Msym(t) = sum_{m > _M_NEAR} beta_m m^3 sinc^2(m t / 2) at t_j = j dt,
+    j < n, over the table ``beta`` of m = 1..M > _M_NEAR.
+
+    Points below ``_CHIRP_K_MIN`` take the row sums (sin y - y by its
+    series where it cancels).  Above it every row has m t > 10 and both
+    come from one ``chirp_sum`` each: sig = Im C(t) - t A and Msym =
+    2 (A - Re C1(t)) / t^2, with C, C1 the sums of beta_m resp. beta_m m
+    against exp(i m t) and A = sum beta_m m.
+    """
+    m = np.arange(_M_NEAR + 1, beta.size + 1, dtype=float)
+    b = beta[_M_NEAR:]
+    bm = b * m
+    w = bm * m * m
+    t = dt * np.arange(n, dtype=float)
+    sig, msym = np.zeros(n), np.zeros(n)
+    msym[0] = np.sum(w)
+    cut = min(n, math.ceil(_CHIRP_K_MIN / dt))
+    step = max(1, _ROW_BUDGET // max(1, cut - 1))
+    for lo in range(0, m.size, step):
+        y = np.outer(m[lo:lo + step], t[1:cut])
+        sig[1:cut] += b[lo:lo + step] @ _sin_defect(y)
+        y *= 0.5
+        sinc = np.sin(y) / y
+        msym[1:cut] += w[lo:lo + step] @ (sinc * sinc)
+    if cut < n:
+        tt, a = t[cut:], np.sum(bm)
+        sig[cut:] = chirp_sum(b, dt, n - cut, m0=_M_NEAR + 1, j0=cut).imag - tt * a
+        c1 = chirp_sum(bm, dt, n - cut, m0=_M_NEAR + 1, j0=cut).real
+        msym[cut:] = 2.0 * (a - c1) / (tt * tt)
+    return sig, msym
+
+
 def _dct(half):
     """DCT-I along the last axis: the rfft of the even extension of the
     half-grid samples, which is real."""
@@ -124,10 +195,12 @@ class LongWaveOperators:
     profile's certified one (type I condition (iii)); the ``*_limit``
     methods give the eps -> 0 operators the rearranged forcing subtracts.
 
-    The per-m field sums (quadratic/cubic operators) run over
-    ``m_apply = min(M, 512)`` ranges; the coefficient mass beyond them is
-    neglected.  The linear multipliers always use the model's full
-    coefficient table plus certified tail corrections, evaluated on the
+    The quadratic sum Q_eps and the band matrix run over every range
+    m <= M of the coefficient table (module docstring); the mass past M is
+    bounded by ``model.tail_beta_m3`` (zero for a finite table).  The cubic
+    sum P_eps runs over ``m_apply = min(M, 512)`` ranges; the coefficient
+    mass beyond them is neglected.  The linear multipliers always use the
+    model's full coefficient table plus certified tail corrections, evaluated on the
     grid's progression eps k_j = j eps pi / L by
     ``TaylorRemainders.t1_t2_progression`` (one chirp-z transform above
     0.6 rad).  eps must lie in (0, 0.5].
@@ -157,11 +230,10 @@ class LongWaveOperators:
         self.b = b_coefficient(model)
         self.speed_sq = self.c0_sq - 0.5 * self.lambda_dd0 * self.eps ** 2
 
-        k = grid.k
+        k, dt = grid.k, self.eps * np.pi / grid.L  # eps k_j = j dt
         half = 0.5 * abs(self.lambda_dd0)
         self._mult_b0 = half * (1.0 + k * k)
-        t1, t2 = taylor_remainders(model).t1_t2_progression(
-            self.eps * np.pi / grid.L, k.size)
+        t1, t2 = taylor_remainders(model).t1_t2_progression(dt, k.size)
         self._mult_b = half - t1 / self.eps ** 2
         self._mult_bdiff = -t2 / self.eps ** 2
         lo_bound = half * (1.0 - 1e-6)
@@ -174,13 +246,19 @@ class LongWaveOperators:
 
         m = np.arange(1, self.m_apply + 1, dtype=float)
         self._m_col = m[:, None]
-        self._q_weights = (model.beta[:self.m_apply] * m ** 3)[:, None]
         self._sinc_stack = _sinc(0.5 * self.eps * np.outer(m, k))
+        self._q_rows = min(model.M, _M_NEAR)  # rows of Q taken one by one
+        self._q_weights = (model.beta[:self._q_rows]
+                           * m[:self._q_rows] ** 3)[:, None]
+        self._sig = None  # far-row symbols on the modes j < cut, if M > 16
+        if model.M > _M_NEAR:
+            self._sig, self._msym = _far_symbols(model.beta, dt, self._cut)
+            self._inv_t = np.append(0.0, 1.0 / (dt * np.arange(1, self._cut)))
 
         amp = -1.5 * self.lambda_dd0 / (2.0 * self.b)
         x = grid.dx * np.arange(grid.N // 2 + 1)
         self.background = self._field(amp / np.cosh(0.5 * x) ** 2)
-        self._aw0 = None  # rows A_em W0, built on first use
+        self._c0 = self._cut_dct(self._half(self.background))
         self._pw0 = None  # P_eps(W0), built on first use
         self._lu = None   # band LU of L_eps, built on first solve
 
@@ -205,15 +283,6 @@ class LongWaveOperators:
 
     def _multiply(self, symbol, field):
         return self._field(_idct(symbol * _dct(self._half(field))))
-
-    def _rows(self, field):
-        """Rows A_em F, m <= m_apply, on the half grid."""
-        return _idct(self._sinc_stack * self._cut_dct(self._half(field)))
-
-    def _row_sum(self, weights, rows):
-        """The field sum_m w_m A_em[rows_m], rows given on the half grid."""
-        out = np.sum(weights * self._sinc_stack * self._cut_dct(rows), axis=0)
-        return self._field(_idct(out))
 
     def multiplier_bounds(self):
         """(lower, upper) pinch for the linear symbol on this grid."""
@@ -246,9 +315,45 @@ class LongWaveOperators:
 
     def quadratic(self, V, W):
         """Averaged quadratic interaction; symmetric bilinear in (V, W)."""
-        av = self._rows(V)
-        aw = av if W is V else self._rows(W)
-        return self._row_sum(self._q_weights, av * aw)
+        cv = self._cut_dct(self._half(V))
+        cw = cv if W is V else self._cut_dct(self._half(W))
+        return self._field(_idct(self._quadratic_coeffs(cv, cw)))
+
+    def _quadratic_background(self, V):
+        """Q_eps(W0, V)."""
+        cv = self._cut_dct(self._half(V))
+        return self._field(_idct(self._quadratic_coeffs(self._c0, cv)))
+
+    def _quadratic_coeffs(self, cv, cw):
+        """DCT-I coefficients of Q_eps(V, W) from the cut ones of V and W:
+        rows m <= _M_NEAR one by one, the rest by ``_far_quadratic``."""
+        stack = self._sinc_stack[:self._q_rows]
+        av = _idct(stack * cv)
+        aw = av if cw is cv else _idct(stack * cw)
+        out = np.sum(self._q_weights * stack * self._cut_dct(av * aw), axis=0)
+        if self._sig is not None:
+            out[:self._cut] += self._far_quadratic(cv[:self._cut], cw[:self._cut])
+        return out
+
+    def _far_quadratic(self, cv, cw):
+        """Rows m > _M_NEAR of Q_eps by the separable kernel T_far (module
+        docstring), on the modes j < cut.  With a = V^/t and b = W^/t (odd
+        spectra, zero at t = 0) they are (2/t) [conv(sig a, b) + conv(a,
+        sig b) - sig conv(a, b)], conv the spectrum of a pointwise product;
+        i a is the spectrum of a real odd field and sig a that of a real
+        even one, so each conv is the rfft of a product of full-grid
+        fields.  The terms with a zero wavenumber take Msym."""
+        n, cut = self.grid.N, self._cut
+        sig, inv_t, msym = self._sig, self._inv_t, self._msym
+        av, aw = cv * inv_t, cw * inv_t
+        ov, ow = np.fft.irfft(1j * av, n), np.fft.irfft(1j * aw, n)
+        ev, ew = np.fft.irfft(sig * av, n), np.fft.irfft(sig * aw, n)
+        t_sum = (np.fft.rfft(ev * ow + ov * ew)[:cut].imag
+                 + sig * np.fft.rfft(ov * ow)[:cut].real)
+        out = 2.0 * inv_t * t_sum + msym * (cv[0] * cw + cw[0] * cv) / n
+        out[0] = (msym[0] * (cv[0] * cw[0])
+                  + 2.0 * np.dot(msym[1:], cv[1:] * cw[1:])) / n
+        return out
 
     def quadratic_limit(self, V, W):
         """eps -> 0 limit b * V * W (same dealiasing as the full operator)."""
@@ -262,9 +367,11 @@ class LongWaveOperators:
         must stay within the expansion radius m*delta*, otherwise the model
         raises naming the offending interaction range.
         """
-        eta = self.eps ** 2 * self._m_col * self._rows(W)
-        psi = self.model.psi_prime(self._m_col, eta)
-        return self.eps ** -6 * self._row_sum(self._m_col, psi)
+        stack, m = self._sinc_stack, self._m_col
+        eta = self.eps ** 2 * m * _idct(stack * self._cut_dct(self._half(W)))
+        psi = self.model.psi_prime(m, eta)
+        out = np.sum(m * stack * self._cut_dct(psi), axis=0)
+        return self.eps ** -6 * self._field(_idct(out))
 
     # -- correction-equation pieces ------------------------------------------------
 
@@ -308,12 +415,6 @@ class LongWaveOperators:
     def linearized(self, V):
         """L_eps V = V - 2 B_eps^-1 Q_eps(W0, V)."""
         return V - 2.0 * self.linear_inv(self._quadratic_background(V))
-
-    def _quadratic_background(self, V):
-        if self._aw0 is None:
-            # a copy, so the cache does not pin the full-width transform
-            self._aw0 = self._rows(self.background).copy()
-        return self._row_sum(self._q_weights, self._aw0 * self._rows(V))
 
     def linearized_solve(self, F):
         """Solve L_eps V = F on the even subspace by a banded LU.
@@ -364,9 +465,9 @@ class LongWaveOperators:
         (i, j); the first D rows are the fill-in space dgbtrf needs.
         """
         N, cut = self.grid.N, self._cut
-        c0 = self._cut_dct(self._half(self.background))[:cut]
+        c0 = self._c0[:cut]
         D = int(np.flatnonzero(np.abs(c0) > 2.0 ** -53 * np.max(np.abs(c0)))[-1])
-        S, w = self._sinc_stack[:, :cut], self._q_weights[:, 0]
+        S, w = self._sinc_stack[:self._q_rows, :cut], self._q_weights[:, 0]
         scale = -2.0 / (N * self._mult_b[:cut])
         ab = np.zeros((3 * D + 1, cut))
         for d in range(D + 1):
@@ -380,8 +481,34 @@ class LongWaveOperators:
             j = np.arange(1, D - i + 1)
             t = (S[:, j] * S[:, i + j]).T @ (w * S[:, i]) * c0[i + j]
             ab[2 * D + i - j, j] += scale[i] * t
+        if self._sig is not None:
+            # rows m > _M_NEAR, entry by entry: the direct term on the band
+            d, j = np.arange(-D, D + 1)[:, None], np.arange(cut)
+            ok = (0 <= j + d) & (j + d < cut)
+            d, j = np.broadcast_to(d, ok.shape)[ok], np.broadcast_to(j, ok.shape)[ok]
+            far = self._far_kernel(j, d) * c0[np.abs(d)]
+            ab[2 * D + d, j] += scale[j + d] * far
+            # and the folded term on i >= 0, j > 0, i + j <= D
+            i, j = np.nonzero(np.add.outer(np.arange(D + 1), np.arange(D + 1)) <= D)
+            i, j = i[j > 0], j[j > 0]
+            ab[2 * D + i - j, j] += scale[i] * self._far_kernel(i, j) * c0[i + j]
         ab[2 * D] += 1.0
         return D, ab
+
+    def _far_kernel(self, p, q):
+        """T_far(p, q) at signed mode indices p, q with |p|, |q|, |p + q|
+        below the cut: 2 [sig(t_p) + sig(t_q) - sig(t_p + t_q)] /
+        (t_p t_q (t_p + t_q)); where one of the three is zero, Msym at the
+        common size of the other two."""
+        inv_t, sig = self._inv_t, self._sig
+        s = p + q
+        sp, sq, ss = np.sign(p), np.sign(q), np.sign(s)
+        p, q, s = np.abs(p), np.abs(q), np.abs(s)
+        out = (2.0 * (sp * sig[p] + sq * sig[q] - ss * sig[s]) * (sp * sq * ss)
+               * (inv_t[p] * inv_t[q] * inv_t[s]))
+        zero = (p == 0) | (q == 0) | (s == 0)
+        out[zero] = self._msym[np.maximum(p, q)[zero]]
+        return out
 
     def _band_solve(self, lu, F):
         """Apply the band factor to the even part of F; the modes at and

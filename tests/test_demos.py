@@ -30,3 +30,21 @@ def test_leading_order_profile_demo(tmp_path):
     out = _run_demo("02_leading_order_profile.py", tmp_path)
     assert "(= c0^2)" in out
     assert "closed form at eps=0.1" in out
+
+
+def test_solitary_wave_demo(tmp_path):
+    # both solvers on a = 4 and nnn; the a = 4 profile is written out
+    out = _run_demo("03_solitary_wave.py", tmp_path)
+    assert out.count("|W_contr - W_petv|_H1") == 2
+    assert (tmp_path / "wave_profile_a4.csv").is_file()
+
+
+def test_scaling_laws_demo(tmp_path):
+    # eps sweeps on a = 3.5, a = 6 and nnn, each with a fitted slope
+    out = _run_demo("04_scaling_laws.py", tmp_path)
+    assert out.count("fitted slope") == 3
+
+
+def test_lattice_verification_demo(tmp_path):
+    out = _run_demo("05_lattice_verification.py", tmp_path)
+    assert "measured speed" in out

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import latticewaves as lw
-from latticewaves.operators import _defect_symbol
+from latticewaves.operators import _defect_symbol, _idct
 from latticewaves.spectral import derivative, sobolev_norm
 from conftest import random_band_limited
 
@@ -452,14 +452,13 @@ def test_operators_read_only_even_part(request, grid, rng, fam, eps):
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def _full_grid_rows(ctx, field):
+def _full_grid_rows(ctx, field, m):
     """rfft route on the whole box [-L, L): the 2/3-cut spectrum of F,
-    averaged by every range m <= m_apply, back on the grid."""
-    m = np.arange(1, ctx.m_apply + 1, dtype=float)[:, None]
+    averaged by each range of the column ``m``, back on the grid."""
     stack = np.sinc(0.5 * ctx.eps * m * ctx.grid.k / np.pi)
     hat = np.fft.rfft(field.values)
     hat[ctx.grid.N // 3 + 1:] = 0.0
-    return m, stack, np.fft.irfft(stack * hat, n=ctx.grid.N)
+    return stack, np.fft.irfft(stack * hat, n=ctx.grid.N)
 
 
 def _full_grid_sum(ctx, weights, stack, rows):
@@ -468,15 +467,22 @@ def _full_grid_sum(ctx, weights, stack, rows):
     return np.fft.irfft(np.sum(weights * stack * ph, axis=0), n=ctx.grid.N)
 
 
-def _full_grid_quadratic(ctx, V, W):
-    m, stack, av = _full_grid_rows(ctx, V)
-    aw = _full_grid_rows(ctx, W)[2]
-    weights = ctx.model.beta[:ctx.m_apply, None] * m ** 3
-    return _full_grid_sum(ctx, weights, stack, av * aw)
+def _full_grid_quadratic(ctx, V, W, chunk=512):
+    """Q_eps(V, W) summed range by range over every m <= M, in chunks."""
+    M = ctx.model.M
+    out = np.zeros(ctx.grid.N)
+    for lo in range(0, M, chunk):
+        m = np.arange(lo + 1, min(lo + chunk, M) + 1, dtype=float)[:, None]
+        stack, av = _full_grid_rows(ctx, V, m)
+        aw = _full_grid_rows(ctx, W, m)[1]
+        weights = ctx.model.beta[lo:lo + m.size, None] * m ** 3
+        out += _full_grid_sum(ctx, weights, stack, av * aw)
+    return out
 
 
 def _full_grid_cubic(ctx, W):
-    m, stack, aw = _full_grid_rows(ctx, W)
+    m = np.arange(1, ctx.m_apply + 1, dtype=float)[:, None]
+    stack, aw = _full_grid_rows(ctx, W, m)
     psi = ctx.model.psi_prime(m, ctx.eps ** 2 * m * aw)
     return _full_grid_sum(ctx, m, stack, psi) / ctx.eps ** 6
 
@@ -503,3 +509,91 @@ def test_half_grid_matches_full_grid_route(request, grid, rng, fam, eps):
                      (ctx.cubic(v), _full_grid_cubic(ctx, v)),
                      (ctx._band_solve(lu, w), _full_grid_band_solve(ctx, lu, w))):
         assert np.max(np.abs(out.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _far_table():
+    # a finite range of 64 terms whose quadratic weights beta_m m^3 = -1/m
+    # put much of Q into the rows m > 16; type I certified
+    m = np.arange(1, 65, dtype=float)
+    return lw.PotentialSpec.finite_range(alpha=m ** -6.5, beta=-m ** -4.0)
+
+
+_GATE_CASES = [(fam, eps) for fam in ("cm35", "cm4", "cm6", "nnn1", "table")
+               for eps in (0.05, 0.2, 0.4)]
+
+
+def _gate_ctx(request, grid, fam, eps):
+    if fam == "table":
+        prof = lw.certify_type1(lw.build_model(_far_table()))
+    else:
+        prof = request.getfixturevalue(f"prof_{fam}")
+    return lw.LongWaveOperators(prof, grid, eps)
+
+
+@pytest.mark.parametrize("fam, eps", _GATE_CASES,
+                         ids=[f"{f}-eps{e}" for f, e in _GATE_CASES])
+def test_quadratic_sums_every_row(request, grid, rng, fam, eps):
+    # Q_eps and Q_eps(W0, .) against the range-by-range sum over every
+    # m <= M; w has a mean, so the Msym terms of the far rows are compared
+    ctx = _gate_ctx(request, grid, fam, eps)
+    v = 0.05 * random_band_limited(grid, rng, modes=400, even=True)
+    w = random_band_limited(grid, rng, modes=400, even=True)
+    w = lw.Field(grid, 0.05 * w.values + 0.02)
+    for out, ref in ((ctx.quadratic(v, w), _full_grid_quadratic(ctx, v, w)),
+                     (ctx._quadratic_background(w),
+                      _full_grid_quadratic(ctx, ctx.background, w))):
+        assert np.max(np.abs(out.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _dense_coupling(ctx, D, chunk=256):
+    """-(2 / B_eps(j)) K(j, j') of the module docstring on modes j, j' < cut,
+    summed range by range over every m <= M, for |j - j'| <= D."""
+    N, cut = ctx.grid.N, ctx.grid.N // 3 + 1
+    hat = np.fft.rfft(ctx.background.values)[:cut]
+    c0 = np.where(np.arange(cut) % 2 == 0, 1.0, -1.0) * hat.real
+    K = np.zeros((cut, cut))
+    for lo in range(0, ctx.model.M, chunk):
+        m = np.arange(lo + 1, min(lo + chunk, ctx.model.M) + 1, dtype=float)
+        S = np.sinc(0.5 * ctx.eps * np.outer(m, ctx.grid.k[:cut]) / np.pi)
+        w = ctx.model.beta[lo:lo + m.size] * m ** 3
+        for d in range(D + 1):
+            t = (S[:, d:] * S[:, :cut - d]).T @ (w * S[:, d]) * c0[d]
+            j = np.arange(cut - d)
+            K[j + d, j] += t
+            if d:
+                K[j, j + d] += t
+        for i in range(D):
+            j = np.arange(1, D - i + 1)
+            K[i, j] += (S[:, j] * S[:, i + j]).T @ (w * S[:, i]) * c0[i + j]
+    return -2.0 / (N * ctx._mult_b[:cut, None]) * K
+
+
+# the a = 3.5 reference sums 13,838 ranges per entry: one eps keeps it short
+_BAND_CASES = [("cm35", 0.05)] + [c for c in _GATE_CASES if c[0] != "cm35"]
+
+
+@pytest.mark.parametrize("fam, eps", _BAND_CASES,
+                         ids=[f"{f}-eps{e}" for f, e in _BAND_CASES])
+def test_band_matrix_sums_every_row(request, grid, fam, eps):
+    ctx = _gate_ctx(request, grid, fam, eps)
+    dense = _band_dense(ctx)
+    D = ctx._band_matrix()[0]
+    ref = _dense_coupling(ctx, D)
+    err = np.max(np.abs(dense - np.eye(dense.shape[0]) - ref))
+    assert err <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_nnn_quadratic_is_the_row_sum(ctx_nnn1, grid, rng):
+    # M = 2 <= 16: no far symbols, and Q is the plain sum over both ranges,
+    # bit for bit
+    ctx = ctx_nnn1
+    assert ctx._sig is None
+    v = 0.05 * random_band_limited(grid, rng, even=True)
+    w = 0.05 * random_band_limited(grid, rng, even=True)
+    stack = ctx._sinc_stack
+    av, aw = (_idct(stack * ctx._cut_dct(ctx._half(f))) for f in (v, w))
+    m = np.arange(1, 3, dtype=float)
+    weights = (ctx.model.beta[:2] * m ** 3)[:, None]
+    row_sum = np.sum(weights * stack * ctx._cut_dct(av * aw), axis=0)
+    assert np.array_equal(ctx.quadratic(v, w).values,
+                          ctx._field(_idct(row_sum)).values)
