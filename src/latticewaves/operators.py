@@ -58,7 +58,11 @@ the other two have the same size t, and T_far is
 ``Msym(t) = sum_{m > 16} w_m sinc^2(m t / 2)``: a mean V0 of V enters as
 V0 Msym W^, and the output mean is ``(1/N) sum_j Msym(t_j) V^(j) W^(-j)``.
 sig and Msym are built once per context on the progression
-t_j = j eps pi / L.
+t_j = j eps pi / L, split by range: the ranges 16 < m <= ceil(2 / dt),
+dt = eps pi / L, are summed one by one at every t_j, and the ranges
+beyond them by one chirp-z transform each.  Those have m t_j >= m dt > 2
+at every t_j > 0, so ``sin(m t) - m t`` and ``1 - cos(m t)`` do not
+cancel in their closed forms.
 """
 
 import math
@@ -66,7 +70,7 @@ import math
 import numpy as np
 
 from .catalog import b_coefficient
-from .dispersion import _CHIRP_K_MIN, long_wave_curvature, taylor_remainders
+from .dispersion import long_wave_curvature, taylor_remainders
 from .errors import CertificationError, ConfigError, DomainError, SolverError
 from .spectral import Field, apply_multiplier, chirp_sum
 
@@ -98,12 +102,11 @@ def moving_average(field, width):
 
 
 def _defect_symbol(y):
-    """(sinc(y) - 1) / y^2 with its limit -1/6 at 0, cancellation-safe."""
-    y2 = y * y
-    series = -(1.0 / 6.0) * (1.0 - y2 / 20.0 * (1.0 - y2 / 42.0))
+    """(sinc(y) - 1) / y^2 = (sin|y| - |y|) / |y|^3; -1/6 below |y| = 1e-8,
+    where that is its value to the last bit (and y^3 underflows near 0)."""
+    y = np.abs(y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.where(y2 > 0.0, (_sinc(y) - 1.0) / np.where(y2 > 0, y2, 1.0), series)
-    return np.where(np.abs(y) < 0.05, series, direct)
+        return np.where(y < 1e-8, -1.0 / 6.0, _sin_defect(y) / y ** 3)
 
 
 def averaging_defect(field, width):
@@ -122,7 +125,7 @@ def averaging_defect(field, width):
 
 
 def _sin_defect(y):
-    """sin(y) - y for y > 0; a Taylor series below y = 1, where the
+    """sin(y) - y for y >= 0; a Taylor series below y = 1, where the
     difference cancels (dropped terms below 1e-19 of it)."""
     out = np.sin(y) - y
     small = y < 1.0
@@ -139,32 +142,33 @@ def _far_symbols(beta, dt, n):
     Msym(t) = sum_{m > _M_NEAR} beta_m m^3 sinc^2(m t / 2) at t_j = j dt,
     j < n, over the table ``beta`` of m = 1..M > _M_NEAR.
 
-    Points below ``_CHIRP_K_MIN`` take the row sums (sin y - y by its
-    series where it cancels).  Above it every row has m t > 10 and both
-    come from one ``chirp_sum`` each: sig = Im C(t) - t A and Msym =
+    The ranges m <= m_s = ceil(2 / dt) are summed one by one at every t
+    (sin y - y by its series where it cancels).  The ranges m > m_s have
+    m t >= m dt > 2 at every t > 0, so neither difference cancels there
+    and each comes from one ``chirp_sum``: sig = Im C(t) - t A and Msym =
     2 (A - Re C1(t)) / t^2, with C, C1 the sums of beta_m resp. beta_m m
-    against exp(i m t) and A = sum beta_m m.
+    against exp(i m t) and A = sum beta_m m over those ranges.
     """
-    m = np.arange(_M_NEAR + 1, beta.size + 1, dtype=float)
-    b = beta[_M_NEAR:]
-    bm = b * m
+    m = np.arange(1, beta.size + 1, dtype=float)
+    bm = beta * m
     w = bm * m * m
-    t = dt * np.arange(n, dtype=float)
+    t = dt * np.arange(1, n, dtype=float)
     sig, msym = np.zeros(n), np.zeros(n)
-    msym[0] = np.sum(w)
-    cut = min(n, math.ceil(_CHIRP_K_MIN / dt))
-    step = max(1, _ROW_BUDGET // max(1, cut - 1))
-    for lo in range(0, m.size, step):
-        y = np.outer(m[lo:lo + step], t[1:cut])
-        sig[1:cut] += b[lo:lo + step] @ _sin_defect(y)
+    msym[0] = np.sum(w[_M_NEAR:])
+    m_s = max(_M_NEAR, min(beta.size, math.ceil(2.0 / dt)))
+    step = max(1, _ROW_BUDGET // max(1, t.size))
+    for lo in range(_M_NEAR, m_s, step):
+        hi = min(lo + step, m_s)
+        y = np.outer(m[lo:hi], t)
+        sig[1:] += beta[lo:hi] @ _sin_defect(y)
         y *= 0.5
         sinc = np.sin(y) / y
-        msym[1:cut] += w[lo:lo + step] @ (sinc * sinc)
-    if cut < n:
-        tt, a = t[cut:], np.sum(bm)
-        sig[cut:] = chirp_sum(b, dt, n - cut, m0=_M_NEAR + 1, j0=cut).imag - tt * a
-        c1 = chirp_sum(bm, dt, n - cut, m0=_M_NEAR + 1, j0=cut).real
-        msym[cut:] = 2.0 * (a - c1) / (tt * tt)
+        msym[1:] += w[lo:hi] @ (sinc * sinc)
+    if m_s < beta.size:
+        a = np.sum(bm[m_s:])
+        sig[1:] += chirp_sum(beta[m_s:], dt, n - 1, m0=m_s + 1, j0=1).imag - t * a
+        c1 = chirp_sum(bm[m_s:], dt, n - 1, m0=m_s + 1, j0=1).real
+        msym[1:] += 2.0 * (a - c1) / (t * t)
     return sig, msym
 
 
@@ -187,11 +191,10 @@ class LongWaveOperators:
     The operators read only the even part of an argument (the identity
     term of ``linearized`` passes V through unchanged) and return fields
     that are even to the last bit.  Immutable after construction apart
-    from lazy caches of W0-only terms (the averaged background rows,
-    P_eps(W0)) and of the band factor of L_eps, which the first
-    ``linearized_solve`` builds and the context keeps for its life; all
-    methods are pure field-to-field maps, so distinct contexts can be
-    evaluated concurrently.  The correction exponent sigma is the
+    from lazy caches of P_eps(W0) and of the band factor of L_eps, which
+    the first ``linearized_solve`` builds and the context keeps for its
+    life; all methods are pure field-to-field maps, so distinct contexts
+    can be evaluated concurrently.  The correction exponent sigma is the
     profile's certified one (type I condition (iii)); the ``*_limit``
     methods give the eps -> 0 operators the rearranged forcing subtracts.
 
@@ -319,11 +322,6 @@ class LongWaveOperators:
         cw = cv if W is V else self._cut_dct(self._half(W))
         return self._field(_idct(self._quadratic_coeffs(cv, cw)))
 
-    def _quadratic_background(self, V):
-        """Q_eps(W0, V)."""
-        cv = self._cut_dct(self._half(V))
-        return self._field(_idct(self._quadratic_coeffs(self._c0, cv)))
-
     def _quadratic_coeffs(self, cv, cw):
         """DCT-I coefficients of Q_eps(V, W) from the cut ones of V and W:
         rows m <= _M_NEAR one by one, the rest by ``_far_quadratic``."""
@@ -414,7 +412,7 @@ class LongWaveOperators:
 
     def linearized(self, V):
         """L_eps V = V - 2 B_eps^-1 Q_eps(W0, V)."""
-        return V - 2.0 * self.linear_inv(self._quadratic_background(V))
+        return V - 2.0 * self.linear_inv(self.quadratic(self.background, V))
 
     def linearized_solve(self, F):
         """Solve L_eps V = F on the even subspace by a banded LU.
@@ -472,43 +470,31 @@ class LongWaveOperators:
         ab = np.zeros((3 * D + 1, cut))
         for d in range(D + 1):
             # K(j + d, j) = K(j, j + d): the direct term on diagonal d
-            t = (S[:, d:] * S[:, :cut - d]).T @ (w * S[:, d]) * c0[d]
+            j = np.arange(cut - d)
+            t = ((S[:, d:] * S[:, :cut - d]).T @ (w * S[:, d])
+                 + self._far_kernel(j, d)) * c0[d]
             ab[2 * D + d, :cut - d] = scale[d:] * t
             if d:
                 ab[2 * D - d, d:] = scale[:cut - d] * t
         for i in range(D):
             # the folded term couples (i, j) with j > 0 and i + j <= D
             j = np.arange(1, D - i + 1)
-            t = (S[:, j] * S[:, i + j]).T @ (w * S[:, i]) * c0[i + j]
+            t = ((S[:, j] * S[:, i + j]).T @ (w * S[:, i])
+                 + self._far_kernel(i, j)) * c0[i + j]
             ab[2 * D + i - j, j] += scale[i] * t
-        if self._sig is not None:
-            # rows m > _M_NEAR, entry by entry: the direct term on the band
-            d, j = np.arange(-D, D + 1)[:, None], np.arange(cut)
-            ok = (0 <= j + d) & (j + d < cut)
-            d, j = np.broadcast_to(d, ok.shape)[ok], np.broadcast_to(j, ok.shape)[ok]
-            far = self._far_kernel(j, d) * c0[np.abs(d)]
-            ab[2 * D + d, j] += scale[j + d] * far
-            # and the folded term on i >= 0, j > 0, i + j <= D
-            i, j = np.nonzero(np.add.outer(np.arange(D + 1), np.arange(D + 1)) <= D)
-            i, j = i[j > 0], j[j > 0]
-            ab[2 * D + i - j, j] += scale[i] * self._far_kernel(i, j) * c0[i + j]
         ab[2 * D] += 1.0
         return D, ab
 
     def _far_kernel(self, p, q):
-        """T_far(p, q) at signed mode indices p, q with |p|, |q|, |p + q|
-        below the cut: 2 [sig(t_p) + sig(t_q) - sig(t_p + t_q)] /
-        (t_p t_q (t_p + t_q)); where one of the three is zero, Msym at the
-        common size of the other two."""
-        inv_t, sig = self._inv_t, self._sig
-        s = p + q
-        sp, sq, ss = np.sign(p), np.sign(q), np.sign(s)
-        p, q, s = np.abs(p), np.abs(q), np.abs(s)
-        out = (2.0 * (sp * sig[p] + sq * sig[q] - ss * sig[s]) * (sp * sq * ss)
-               * (inv_t[p] * inv_t[q] * inv_t[s]))
-        zero = (p == 0) | (q == 0) | (s == 0)
-        out[zero] = self._msym[np.maximum(p, q)[zero]]
-        return out
+        """T_far(p, q) of the module docstring at mode indices p, q >= 0
+        with p + q below the cut: 2 [sig(t_p) + sig(t_q) - sig(t_p + t_q)]
+        / (t_p t_q (t_p + t_q)), and Msym(t_p + t_q) where p or q is 0;
+        0.0 for a context without far ranges (M <= _M_NEAR)."""
+        if self._sig is None:
+            return 0.0
+        sig, inv_t, s = self._sig, self._inv_t, p + q
+        out = 2.0 * (sig[p] + sig[q] - sig[s]) * (inv_t[p] * inv_t[q] * inv_t[s])
+        return np.where((p == 0) | (q == 0), self._msym[s], out)
 
     def _band_solve(self, lu, F):
         """Apply the band factor to the even part of F; the modes at and

@@ -6,8 +6,9 @@ import pytest
 import scipy.linalg
 
 import latticewaves as lw
+from latticewaves import operators
 from latticewaves.operators import _defect_symbol, _idct
-from latticewaves.spectral import derivative, sobolev_norm
+from latticewaves.spectral import chirp_sum, derivative, sobolev_norm
 from conftest import random_band_limited
 
 EPS_PROBE = (0.4, 0.2, 0.1, 0.05)
@@ -85,6 +86,19 @@ class TestAveragingDefect:
             lhs = lw.moving_average(f, h) - f
             rhs = -h * h * lw.averaging_defect(derivative(f, 2), h)
             assert sobolev_norm(lhs - rhs, 0.0) < 1e-11
+
+    def test_symbol_matches_mpmath(self):
+        # (sin y - y) / y^3 at 40 digits, on both sides of y = 0.05 and of
+        # the series cut of _sin_defect at y = 1; the symbol is even in y
+        mpmath = pytest.importorskip("mpmath")
+        ys = [1e-3, 0.0499, 0.05, 0.0501, 0.1, 1.0, 3.0, 10.0]
+        with mpmath.workdps(40):
+            ref = [float((mpmath.sin(mpmath.mpf(y)) - y) / mpmath.mpf(y) ** 3)
+                   for y in ys]
+        assert _defect_symbol(np.array([0.0]))[0] == -1.0 / 6.0
+        for sign in (1.0, -1.0):
+            out = _defect_symbol(sign * np.array(ys))
+            assert np.max(np.abs(out / ref - 1.0)) <= 1e-15
 
     def test_symbol_bound(self):
         y = np.linspace(0.0, 500.0, 200001)
@@ -540,9 +554,57 @@ def test_quadratic_sums_every_row(request, grid, rng, fam, eps):
     w = random_band_limited(grid, rng, modes=400, even=True)
     w = lw.Field(grid, 0.05 * w.values + 0.02)
     for out, ref in ((ctx.quadratic(v, w), _full_grid_quadratic(ctx, v, w)),
-                     (ctx._quadratic_background(w),
+                     (ctx.quadratic(ctx.background, w),
                       _full_grid_quadratic(ctx, ctx.background, w))):
         assert np.max(np.abs(out.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_background_quadratic_reads_the_cut_w0(prof_cm35, grid, rng):
+    # Q_eps(W0, .) through the public form equals the sum on the cut DCT of
+    # W0 that the context keeps for its band matrix, bit for bit
+    ctx = lw.LongWaveOperators(prof_cm35, grid, 0.1)
+    v = 0.05 * random_band_limited(grid, rng, modes=400, even=True)
+    cv = ctx._cut_dct(ctx._half(v))
+    ref = ctx._field(_idct(ctx._quadratic_coeffs(ctx._c0, cv)))
+    assert np.array_equal(ctx.quadratic(ctx.background, v).values, ref.values)
+
+
+_FAR_CASES = [(fam, eps) for fam in ("cm35", "cm4", "cm6", "table")
+              for eps in (0.05, 0.2, 0.4)]
+
+
+@pytest.mark.parametrize("fam, eps", _FAR_CASES,
+                         ids=[f"{f}-eps{e}" for f, e in _FAR_CASES])
+def test_far_symbols_sum_every_range(request, grid, monkeypatch, fam, eps):
+    # sig and Msym against the range-by-range sum over every m > 16 at
+    # every mode; each chirp covers ranges with m dt > 2 only, where the
+    # closed forms Im C - t A and 2 (A - Re C1) / t^2 do not cancel
+    if fam == "table":
+        model = lw.build_model(_far_table())
+    else:
+        model = request.getfixturevalue(fam)
+    dt, n = eps * np.pi / grid.L, grid.N // 3 + 1
+    chirps = []
+
+    def recorded(x, d, n_out, m0=0, j0=0):
+        chirps.append((m0, d))
+        return chirp_sum(x, d, n_out, m0=m0, j0=j0)
+
+    monkeypatch.setattr(operators, "chirp_sum", recorded)
+    sig, msym = operators._far_symbols(model.beta, dt, n)
+    assert all(m0 * d > 2.0 for m0, d in chirps)
+    assert chirps or model.M <= np.ceil(2.0 / dt)
+    t = dt * np.arange(n)
+    ref_sig, ref_msym = np.zeros(n), np.zeros(n)
+    ref_msym[0] = np.sum(model.beta[16:] * np.arange(17, model.M + 1) ** 3.0)
+    for lo in range(16, model.M, 256):
+        m = np.arange(lo + 1, min(lo + 256, model.M) + 1, dtype=float)
+        beta = model.beta[lo:lo + m.size]
+        y = np.outer(m, t[1:])
+        ref_sig[1:] += beta @ (np.sin(y) - y)
+        ref_msym[1:] += (beta * m ** 3) @ np.sinc(0.5 * y / np.pi) ** 2
+    for out, ref in ((sig, ref_sig), (msym, ref_msym)):
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _dense_coupling(ctx, D, chunk=256):
