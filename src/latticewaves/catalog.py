@@ -32,6 +32,7 @@ dropped terms sum to at most 2^-53 of the first kept term at the largest
 remainders use the direct formula.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -220,6 +221,13 @@ class _PowerLaw:
         # the linear term is the first kept one; |eta/m| <= rho on every bond
         return _series_cut(self.a + 1.0, 1, rho)
 
+    def remainder_degrees(self, zmax):
+        # m psi_m'(m z) = m^-a sum_{n>=3} kappa_n z^n, kappa_n = -a binom(-a-1, n)
+        if not zmax < 1.0:
+            raise DomainError(f"remainder series diverges at |z| = {zmax:.3e} >= 1")
+        n_last = _series_cut(self.a + 1.0, 3, zmax, n_max=None)[0]
+        return self.a, -self.a * _binom_series_coeffs(-self.a - 1.0, 3, n_last - 2)
+
 
 class _Table:
     """alpha_m, beta_m, varsigma_m for m = 1..M, zero beyond M; psi_m' and
@@ -269,6 +277,9 @@ class _Table:
 
     def series_length(self, rho):
         return None if self._callables else (2, 0.0)
+
+    def remainder_degrees(self, zmax):
+        return None  # psi' is zero or a callable: no degree form
 
 
 def _lookup(table, m):
@@ -368,7 +379,8 @@ class LatticeModel:
             m_bad = int(np.broadcast_to(m, z.shape)[z > self.delta_star][0])
             raise DomainError(
                 f"strain out of expansion domain |eta| <= m*delta_star "
-                f"(m={m_bad}, delta_star={self.delta_star})"
+                f"(m={m_bad}, max |eta|/m = {zmax:.3e} > delta_star="
+                f"{self.delta_star})"
             )
         return zmax
 
@@ -437,6 +449,18 @@ class LatticeModel:
         """
         return self._law.series_length(rho)
 
+    def remainder_degrees(self, zmax):
+        """The power law's psi_m' degree by degree, with one weight law.
+
+        Returns ``(p, kappa)`` with ``m psi_m'(m z) = m^-p sum_n kappa[n - 3]
+        z^n`` for every m, n = 3 .. len(kappa) + 2: each degree carries the
+        same m-weight m^-p.  The series is cut where its dropped terms sum
+        to at most 2^-53 of the first kept one on |z| <= zmax, with no cap
+        on its length; it converges for zmax < 1 and raises otherwise.
+        None for a table, whose psi' is zero or a callable.
+        """
+        return self._law.remainder_degrees(zmax)
+
     def range_tail_bound(self, m_cut, rho, spread):
         """Bound on the force one site gets from all ranges m > m_cut.
 
@@ -479,19 +503,21 @@ def _binom_series_coeffs(q, n_from, n_count):
     return _series_cache[key]
 
 
-def _series_cut(p, n_first, z):
+def _series_cut(p, n_first, z, n_max=_SERIES_MAX):
     """Cut of sum_{n >= n_first} binom(-p, n) x^n on |x| <= z, or None.
 
     Returns ``(N, tail)``: N is the least last power with
     ``sum_{n>N} |binom(-p, n)| z^n <= tail |binom(-p, n_first)| z^n_first``
     and ``tail <= 2^-53``, so N also holds for every smaller |x|.  None when
-    more than ``_SERIES_MAX`` terms would be needed.
+    more than ``n_max`` terms would be needed; ``n_max=None`` sets no cap,
+    for z < 1 only.
     """
     # t_n = |binom(-p, n)| z^n relative to t_{n_first}; the ratio
     # t_{n+1}/t_n = z (p+n)/(n+1) falls with n, so the geometric series at
     # the first dropped ratio bounds the tail
     t = 1.0
-    for N in range(n_first, n_first + _SERIES_MAX):
+    last = itertools.count(n_first) if n_max is None else range(n_first, n_first + n_max)
+    for N in last:
         t *= z * (p + N) / (N + 1.0)  # t_{N+1}
         ratio = z * (p + N + 1.0) / (N + 2.0)
         if ratio < 1.0 and t / (1.0 - ratio) <= _SERIES_TOL:

@@ -63,6 +63,39 @@ dt = eps pi / L, are summed one by one at every t_j, and the ranges
 beyond them by one chirp-z transform each.  Those have m t_j >= m dt > 2
 at every t_j > 0, so ``sin(m t) - m t`` and ``1 - cos(m t)`` do not
 cancel in their closed forms.
+
+P_eps takes the same split: the rows m <= 16 one by one, and for the
+power law all ranges 16 < m <= M by product-to-sum, one degree at a
+time.  With z = eps^2 A_em W the power law has m psi_m'(m z) = m^-a
+sum_{n>=3} kappa_n z^n, kappa_n = -a binom(-a-1, n)
+(``LatticeModel.remainder_degrees``): every degree carries the weight
+m^-a.  Write W = mu + W~ with mu = c(0) / N the mean (A_h mu = mu); the
+far ranges then give::
+
+    sum_j D_j F_j(W~),   F_j = sum_{m > 16} m^-a A_em[(A_em W~)^j],
+    D_j = sum_{n >= max(3, j)} kappa_n eps^(2n-6) binom(n, j) mu^(n-j).
+
+Let b be the real odd field with spectrum -i c / t (zero at t = 0 and at
+and above the cut), so that A_em W~ = [b(x + eps m/2) - b(x - eps m/2)] / m,
+and let H_j(t) = sum_{m > 16} m^-(a+j+1) cos(m t) for odd j and
+i sum_{m > 16} m^-(a+j+1) sin(m t) for even j, with H * f the field of
+spectrum H rfft(f).  Expanding the j-th power and pairing each phase
+with the output sinc gives, at t0 > 0::
+
+    F_j^(t0) = Re(-2i / t0 rfft[sum_{q<=j} binom(j, q) (-1)^(j-q) (H_j * b^q) b^(j-q)]),
+    F_j^(0) = -2 sum_{q<j} binom(j-1, q) (-1)^(j-1-q) sum_x (H_{j-1} * b^q) b^(j-q),
+
+and F_0 = sum_{m > 16} m^-a at mode 0 only; degree j's mode 0 reuses the
+fields H_{j-1} * b^q of degree j - 1.  A call costs O(n^2) length-N
+transforms for n degrees.  The series is cut by the 2^-53 rule at the
+bound |A_h W| <= (|c(0)| + 2 sum_{j>=1} |c(j)|) / N, which holds for
+every h since |sinc| <= 1 and also checks the far ranges against
+delta*.  The tables H_j live on t_i = i dt, i <= N/2, are built on first
+use with the range split of sig and Msym (one block of cos and sin for
+m <= ceil(2 / dt), one chirp-z transform of all degrees beyond), and are
+extended when a call needs more degrees.  Raw cos and sin suffice: the
+far ranges hold at most 2.6e-4 of max|P| on W0 (a = 3.5, eps >= 0.05),
+so the digits lost to cancellation at small t stay below rounding of P.
 """
 
 import math
@@ -76,9 +109,8 @@ from .spectral import Field, apply_multiplier, chirp_sum
 
 __all__ = ["moving_average", "averaging_defect", "LongWaveOperators"]
 
-_M_APPLY = 512          # rows of the cubic sum P (per-m FFTs cost more past it)
-_M_NEAR = 16            # rows of Q and K summed one by one (the rest in closed form)
-_ROW_BUDGET = 500_000   # elements per (m-chunk x t) block of _far_symbols
+_M_NEAR = 16            # rows of Q, K and P summed one by one (the rest in closed form)
+_ROW_BUDGET = 500_000   # elements per (m-chunk x t) block of the far tables
 _EPS_MAX = 0.5          # largest eps a context accepts
 _SOLVE_RTOL = 1e-11     # accepted relative residual of a linearized solve
 _REFINE_STEPS = 2       # band-solve refinements before a solve gives up
@@ -155,7 +187,7 @@ def _far_symbols(beta, dt, n):
     t = dt * np.arange(1, n, dtype=float)
     sig, msym = np.zeros(n), np.zeros(n)
     msym[0] = np.sum(w[_M_NEAR:])
-    m_s = max(_M_NEAR, min(beta.size, math.ceil(2.0 / dt)))
+    m_s = _chirp_start(beta.size, dt)
     step = max(1, _ROW_BUDGET // max(1, t.size))
     for lo in range(_M_NEAR, m_s, step):
         hi = min(lo + step, m_s)
@@ -170,6 +202,49 @@ def _far_symbols(beta, dt, n):
         c1 = chirp_sum(bm[m_s:], dt, n - 1, m0=m_s + 1, j0=1).real
         msym[1:] += 2.0 * (a - c1) / (t * t)
     return sig, msym
+
+
+def _chirp_start(M, dt):
+    """Last range summed one by one in the far tables: ranges past
+    ceil(2 / dt) have m t > 2 at every t > 0 and go through one chirp."""
+    return max(_M_NEAR, min(M, math.ceil(2.0 / dt)))
+
+
+def _degree_tables(p, M, dt, n, degrees):
+    """H_j(t_i) at t_i = i dt, i < n, for each j of ``degrees``: the sums
+    over 16 < m <= M of m^-(p + j + 1) cos(m t) for odd j and of
+    i m^-(p + j + 1) sin(m t) for even j.
+
+    The ranges m <= ``_chirp_start`` share one block of cos(m t), sin(m t)
+    through a matrix of m-weights, the ranges beyond one ``chirp_sum`` of
+    the stacked weights.  Raw cos and sin: no difference cancels here.
+    """
+    m = np.arange(_M_NEAR + 1, M + 1, dtype=float)
+    degrees = np.asarray(degrees)
+    w = m ** -(p + 1.0 + degrees[:, None])
+    t = dt * np.arange(n, dtype=float)
+    cos_sum, sin_sum = np.zeros((degrees.size, n)), np.zeros((degrees.size, n))
+    m_s = _chirp_start(M, dt) - _M_NEAR
+    step = max(1, _ROW_BUDGET // n)
+    for lo in range(0, m_s, step):
+        hi = min(lo + step, m_s)
+        y = np.outer(m[lo:hi], t)
+        cos_sum += w[:, lo:hi] @ np.cos(y)
+        sin_sum += w[:, lo:hi] @ np.sin(y)
+    if m_s < m.size:
+        c = chirp_sum(w[:, m_s:], dt, n, m0=m_s + _M_NEAR + 1)
+        cos_sum += c.real
+        sin_sum += c.imag
+    return np.where(degrees[:, None] % 2 == 1, cos_sum, 1j * sin_sum)
+
+
+def _pascal(n):
+    """binom(i, j) for i, j < n (zero for j > i)."""
+    out = np.zeros((n, n))
+    out[:, 0] = 1.0
+    for i in range(1, n):
+        out[i, 1:] = out[i - 1, 1:] + out[i - 1, :-1]
+    return out
 
 
 def _dct(half):
@@ -191,18 +266,21 @@ class LongWaveOperators:
     The operators read only the even part of an argument (the identity
     term of ``linearized`` passes V through unchanged) and return fields
     that are even to the last bit.  Immutable after construction apart
-    from lazy caches of P_eps(W0) and of the band factor of L_eps, which
-    the first ``linearized_solve`` builds and the context keeps for its
-    life; all methods are pure field-to-field maps, so distinct contexts
-    can be evaluated concurrently.  The correction exponent sigma is the
+    from lazy caches of P_eps(W0), of the degree tables of P_eps and of
+    the band factor of L_eps, which the first ``linearized_solve`` builds
+    and the context keeps for its life; all methods are pure
+    field-to-field maps, so distinct contexts can be evaluated
+    concurrently.  The correction exponent sigma is the
     profile's certified one (type I condition (iii)); the ``*_limit``
     methods give the eps -> 0 operators the rearranged forcing subtracts.
 
-    The quadratic sum Q_eps and the band matrix run over every range
-    m <= M of the coefficient table (module docstring); the mass past M is
-    bounded by ``model.tail_beta_m3`` (zero for a finite table).  The cubic
-    sum P_eps runs over ``m_apply = min(M, 512)`` ranges; the coefficient
-    mass beyond them is neglected.  The linear multipliers always use the
+    The quadratic sum Q_eps, the band matrix and the cubic sum P_eps run
+    over every range m <= M of the coefficient table (module docstring);
+    the mass of Q past M is bounded by ``model.tail_beta_m3`` (zero for a
+    finite table).  Each sums its ``m_apply = min(M, 16)`` nearest ranges
+    one by one.  P_eps takes the power law's ranges beyond them degree by
+    degree; a table's psi' has no degree form, so its ranges beyond stay
+    one by one up to M.  The linear multipliers always use the
     model's full coefficient table plus certified tail corrections, evaluated on the
     grid's progression eps k_j = j eps pi / L by
     ``TaylorRemainders.t1_t2_progression`` (one chirp-z transform above
@@ -225,7 +303,7 @@ class LongWaveOperators:
         self.grid = grid
         self.eps = float(eps)
         self.sigma = float(profile.sigma)
-        self.m_apply = int(min(model.M, _M_APPLY))
+        self.m_apply = int(min(model.M, _M_NEAR))  # ranges summed one by one
         self._cut = grid.N // 3 + 1  # first zeroed coefficient (2/3 rule)
 
         self.c0_sq = profile.c0_sq
@@ -250,13 +328,15 @@ class LongWaveOperators:
         m = np.arange(1, self.m_apply + 1, dtype=float)
         self._m_col = m[:, None]
         self._sinc_stack = _sinc(0.5 * self.eps * np.outer(m, k))
-        self._q_rows = min(model.M, _M_NEAR)  # rows of Q taken one by one
-        self._q_weights = (model.beta[:self._q_rows]
-                           * m[:self._q_rows] ** 3)[:, None]
+        self._q_weights = (model.beta[:self.m_apply] * m ** 3)[:, None]
         self._sig = None  # far-row symbols on the modes j < cut, if M > 16
         if model.M > _M_NEAR:
             self._sig, self._msym = _far_symbols(model.beta, dt, self._cut)
             self._inv_t = np.append(0.0, 1.0 / (dt * np.arange(1, self._cut)))
+        # P's ranges past 16 go by degrees for the power law; a table's
+        # psi' has no degree form, so its rows stay direct up to M
+        self._p_degrees = model.infinite_range and model.M > _M_NEAR
+        self._h = None  # degree tables of P's far ranges, built on first use
 
         amp = -1.5 * self.lambda_dd0 / (2.0 * self.b)
         x = grid.dx * np.arange(grid.N // 2 + 1)
@@ -325,7 +405,7 @@ class LongWaveOperators:
     def _quadratic_coeffs(self, cv, cw):
         """DCT-I coefficients of Q_eps(V, W) from the cut ones of V and W:
         rows m <= _M_NEAR one by one, the rest by ``_far_quadratic``."""
-        stack = self._sinc_stack[:self._q_rows]
+        stack = self._sinc_stack
         av = _idct(stack * cv)
         aw = av if cw is cv else _idct(stack * cw)
         out = np.sum(self._q_weights * stack * self._cut_dct(av * aw), axis=0)
@@ -359,17 +439,96 @@ class LongWaveOperators:
         return self._field(self.b * _idct(prod))
 
     def cubic(self, W):
-        """Cubic-and-higher remainder sum; formally O(1) in eps.
+        """Cubic-and-higher remainder sum over every range m <= M; formally
+        O(1) in eps.
 
         The strain fed to each remainder is m eps^2 (A_em W); its magnitude
         must stay within the expansion radius m*delta*, otherwise the model
-        raises naming the offending interaction range.
+        raises naming the offending interaction range.  The ranges summed
+        one by one are checked sample by sample.  The power law's ranges
+        m > 16 are checked without forming them, by the bound
+        |A_h W| <= (|c_0| + 2 sum_{j>=1} |c_j|) / N on the cut DCT-I c of
+        W, which holds for every width h; the error names that bound.
         """
-        stack, m = self._sinc_stack, self._m_col
-        eta = self.eps ** 2 * m * _idct(stack * self._cut_dct(self._half(W)))
-        psi = self.model.psi_prime(m, eta)
-        out = np.sum(m * stack * self._cut_dct(psi), axis=0)
+        c = self._cut_dct(self._half(W))
+        out = self._cubic_rows(c, self._m_col, self._sinc_stack)
+        if self._p_degrees:
+            out[:self._cut] += self._far_cubic(c)
+        else:
+            k = self.grid.k
+            for lo in range(self.m_apply, self.model.M, _M_NEAR):
+                m = np.arange(lo + 1, min(lo + _M_NEAR, self.model.M) + 1, dtype=float)
+                stack = _sinc(0.5 * self.eps * np.outer(m, k))
+                out += self._cubic_rows(c, m[:, None], stack)
         return self.eps ** -6 * self._field(_idct(out))
+
+    def _cubic_rows(self, c, m, stack):
+        """sum over the column ``m`` of m A_em[psi_m'(m eps^2 A_em W)]: DCT-I
+        coefficients from the cut ones ``c`` of W and the rows ``stack``
+        of sinc(eps m k / 2)."""
+        eta = self.eps ** 2 * m * _idct(stack * c)
+        psi = self.model.psi_prime(m, eta)
+        return np.sum(m * stack * self._cut_dct(psi), axis=0)
+
+    def _far_cubic(self, c):
+        """The power law's ranges m > _M_NEAR of eps^6 P_eps (module
+        docstring) on the modes j < cut, from the cut DCT-I ``c`` of W:
+        sum_j D_j F_j(W - mu), degree j of W - mu by product-to-sum."""
+        n, cut, eps = self.grid.N, self._cut, self.eps
+        bound = (abs(c[0]) + 2.0 * np.sum(np.abs(c[1:]))) / n
+        zmax = eps * eps * bound
+        if zmax > self.model.delta_star:
+            raise DomainError(
+                f"strain out of expansion domain on ranges m > {_M_NEAR}: "
+                f"eps^2 (|c_0| + 2 sum |c_j|) / N = {zmax:.3e} > delta_star = "
+                f"{self.model.delta_star}")
+        p, kappa = self.model.remainder_degrees(zmax)
+        n_far = kappa.size + 2
+        h = self._far_tables(p, n_far)
+        pas = _pascal(n_far + 1)
+        # D_j = sum_{n >= max(3, j)} kappa_n eps^2n binom(n, j) mu^(n - j)
+        deg = np.arange(n_far + 1)
+        kap = np.zeros(n_far + 1)
+        kap[3:] = kappa * eps ** (2.0 * deg[3:])
+        mu = c[0] / n
+        d = kap @ (pas * mu ** np.maximum(deg[:, None] - deg, 0))
+        # b: the odd field with spectrum -i c / t, zero at t = 0
+        inv_t = self._inv_t
+        powers = np.ones((n_far + 1, n))
+        powers[1] = np.fft.irfft(-1j * c[:cut] * inv_t, n)
+        for q in range(2, n_far + 1):
+            powers[q] = powers[q - 1] * powers[1]
+        spec = np.fft.rfft(powers[1:])
+        out = np.zeros(cut)
+        out[0] = d[0] * n * self._w0
+        for j in range(1, n_far + 1):
+            sign = pas[j, :j + 1] * (-1.0) ** (j - deg[:j + 1])
+            conv = np.empty((j + 1, n))
+            conv[0] = h[j, 0].real
+            conv[1:] = np.fft.irfft(h[j] * spec[:j], n)
+            f = np.zeros(cut)
+            f[1:] = 2.0 * inv_t[1:] * np.fft.rfft(sign @ (conv * powers[j::-1]))[1:cut].imag
+            if j >= 2:
+                f[0] = -2.0 * np.sum(prev_sign @ (prev * powers[j:0:-1]))
+            out += d[j] * f
+            prev, prev_sign = conv, sign
+        return out
+
+    def _far_tables(self, p, n_far):
+        """The rows H_j, j <= n_far, of ``_degree_tables`` on the modes
+        t_i = i eps pi / L, i <= N/2, and w0 = sum over 16 < m <= M of
+        m^-p; built on first use and extended when a call needs more
+        degrees."""
+        M, dt = self.model.M, self.eps * np.pi / self.grid.L
+        if self._h is None:
+            self._h = np.zeros((0, self.grid.N // 2 + 1), dtype=complex)
+            self._w0 = float(np.sum(np.arange(_M_NEAR + 1, M + 1, dtype=float) ** -p))
+        have = self._h.shape[0]
+        if have <= n_far:
+            rows = _degree_tables(p, M, dt, self.grid.N // 2 + 1,
+                                  np.arange(have, n_far + 1))
+            self._h = np.vstack((self._h, rows))
+        return self._h
 
     # -- correction-equation pieces ------------------------------------------------
 
@@ -465,7 +624,7 @@ class LongWaveOperators:
         N, cut = self.grid.N, self._cut
         c0 = self._c0[:cut]
         D = int(np.flatnonzero(np.abs(c0) > 2.0 ** -53 * np.max(np.abs(c0)))[-1])
-        S, w = self._sinc_stack[:self._q_rows, :cut], self._q_weights[:, 0]
+        S, w = self._sinc_stack[:, :cut], self._q_weights[:, 0]
         scale = -2.0 / (N * self._mult_b[:cut])
         ab = np.zeros((3 * D + 1, cut))
         for d in range(D + 1):

@@ -247,6 +247,9 @@ def _expi(h, q):
 def chirp_sum(x, d, n_out, m0=0, j0=0):
     """sum_i x_i exp(i (m0 + i)(j0 + t) d) for t < n_out; integers m0, j0 >= 0.
 
+    ``x`` may be a stack of rows: the sum runs along its last axis, and
+    every row shares the chirps and the kernel transform.
+
     The chirp-z transform by Bluestein's algorithm (Rabiner, Schafer &
     Rader 1969; Bluestein 1970): with 2 (m0 + i)(j0 + t) = (i^2 + 2 i j0)
     + (t^2 + 2 m0 t + 2 m0 j0) - (t - i)^2 it is a chirp on the input, a
@@ -257,16 +260,17 @@ def chirp_sum(x, d, n_out, m0=0, j0=0):
     if m0 < 0 or j0 < 0:
         raise DomainError(f"chirp_sum needs m0, j0 >= 0, got {m0}, {j0}")
     x = np.asarray(x)
+    n_in = x.shape[-1]
     h = 0.5 * d
-    i = np.arange(x.size, dtype=np.int64)
+    i = np.arange(n_in, dtype=np.int64)
     t = np.arange(n_out, dtype=np.int64)
-    size = 1 << (x.size + n_out - 2).bit_length()
-    y = np.zeros(size, dtype=complex)
-    y[:x.size] = x * _expi(h, i * (i + 2 * j0))
+    size = 1 << (n_in + n_out - 2).bit_length()
+    y = np.zeros(x.shape[:-1] + (size,), dtype=complex)
+    y[..., :n_in] = x * _expi(h, i * (i + 2 * j0))
     kernel = np.zeros(size, dtype=complex)
     kernel[:n_out] = _expi(-h, t * t)
-    kernel[size - x.size + 1:] = _expi(-h, i[:0:-1] ** 2)
-    conv = np.fft.ifft(np.fft.fft(y) * np.fft.fft(kernel))[:n_out]
+    kernel[size - n_in + 1:] = _expi(-h, i[:0:-1] ** 2)
+    conv = np.fft.ifft(np.fft.fft(y) * np.fft.fft(kernel))[..., :n_out]
     return conv * _expi(h, t * t + 2 * m0 * t + 2 * m0 * j0)
 
 

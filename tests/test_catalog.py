@@ -111,6 +111,36 @@ class TestRemainders:
         with pytest.raises(lw.DomainError):
             cm4.psi_prime(3, -1.6)
 
+    def test_domain_violation_names_the_number(self, cm4):
+        # the error names the range and the largest |eta|/m of the call
+        eta = np.array([0.1, -0.9, 0.3])
+        with pytest.raises(lw.DomainError,
+                           match=r"m=3, max \|eta\|/m = 3\.000e-01 > delta_star"):
+            cm4.psi_prime(3.0, eta)
+
+    @pytest.mark.parametrize("a", [3.5, 6.0])
+    def test_remainder_degrees_sum_psi_prime(self, a):
+        # m^-p sum_n kappa_n z^n against m psi_m'(m z) = -a m^-a [(1 + z)^(-a-1)
+        # - 1 + (a+1) z - (a+1)(a+2) z^2 / 2] at 40 digits, also past the
+        # 12-term cap of psi' (|z| = 0.2)
+        mpmath = pytest.importorskip("mpmath")
+        model = lw.build_model(lw.PotentialSpec.calogero_moser(a))
+        for zmax in (1e-3, 0.05, 0.2):
+            p, kappa = model.remainder_degrees(zmax)
+            assert p == a
+            n = np.arange(3, kappa.size + 3)
+            for z in (zmax, -zmax):
+                with mpmath.workdps(40):
+                    A, Z = mpmath.mpf(a), mpmath.mpf(z)
+                    ref = float(-A * ((1 + Z) ** (-A - 1) - 1 + (A + 1) * Z
+                                      - (A + 1) * (A + 2) / 2 * Z * Z))
+                assert abs(np.sum(kappa * z ** n) - ref) <= 2e-15 * abs(ref)
+        with pytest.raises(lw.DomainError, match="diverges"):
+            model.remainder_degrees(1.0)
+
+    def test_tables_have_no_degree_form(self, nnn1):
+        assert nnn1.remainder_degrees(0.01) is None
+
     def test_broadcast_shapes(self, cm4):
         m = np.arange(1, 5, dtype=float)[:, None]
         eta = 1e-4 * np.ones((4, 7))

@@ -248,6 +248,12 @@ class TestCubic:
         big = lw.Field(grid, 10.0 / np.cosh(0.5 * grid.x) ** 2, even=True)
         with pytest.raises(lw.DomainError, match="m="):
             ctx.cubic(big)
+        # the range summed first is m = 1, where |eta|/m = eps^2 |A_eps W|
+        aw = ctx._sinc_stack[0] * ctx._cut_dct(ctx._half(big))
+        zmax = 0.25 * np.max(np.abs(_idct(aw)))
+        with pytest.raises(lw.DomainError) as err:
+            ctx.cubic(big)
+        assert f"m=1, max |eta|/m = {zmax:.3e} > delta_star" in str(err.value)
 
     def test_parity_preservation(self, ctx_cm4, grid, rng):
         for _ in range(3):
@@ -494,11 +500,16 @@ def _full_grid_quadratic(ctx, V, W, chunk=512):
     return out
 
 
-def _full_grid_cubic(ctx, W):
-    m = np.arange(1, ctx.m_apply + 1, dtype=float)[:, None]
-    stack, aw = _full_grid_rows(ctx, W, m)
-    psi = ctx.model.psi_prime(m, ctx.eps ** 2 * m * aw)
-    return _full_grid_sum(ctx, m, stack, psi) / ctx.eps ** 6
+def _full_grid_cubic(ctx, W, chunk=512):
+    """P_eps(W) summed range by range over every m <= M, in chunks."""
+    M = ctx.model.M
+    out = np.zeros(ctx.grid.N)
+    for lo in range(0, M, chunk):
+        m = np.arange(lo + 1, min(lo + chunk, M) + 1, dtype=float)[:, None]
+        stack, aw = _full_grid_rows(ctx, W, m)
+        psi = ctx.model.psi_prime(m, ctx.eps ** 2 * m * aw)
+        out += _full_grid_sum(ctx, m, stack, psi)
+    return out / ctx.eps ** 6
 
 
 def _full_grid_band_solve(ctx, lu, F):
@@ -605,6 +616,73 @@ def test_far_symbols_sum_every_range(request, grid, monkeypatch, fam, eps):
         ref_msym[1:] += (beta * m ** 3) @ np.sinc(0.5 * y / np.pi) ** 2
     for out, ref in ((sig, ref_sig), (msym, ref_msym)):
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+_CUBIC_CASES = [(fam, eps) for fam in ("cm35", "cm4", "cm6")
+                for eps in (0.05, 0.2, 0.4)]
+
+
+@pytest.mark.parametrize("fam, eps", _CUBIC_CASES,
+                         ids=[f"{f}-eps{e}" for f, e in _CUBIC_CASES])
+def test_cubic_sums_every_range(request, grid, rng, fam, eps):
+    # P_eps and N_eps against the range-by-range sum over every m <= M, on
+    # fields with a mean: W0 + eps^sigma V and a 400-mode field + 0.02,
+    # whose degree-3 products reach past the 2/3 cut
+    ctx = _gate_ctx(request, grid, fam, eps)
+    v = 0.05 * random_band_limited(grid, rng, modes=400, even=True)
+    w = random_band_limited(grid, rng, modes=400, even=True)
+    w = lw.Field(grid, 0.05 * w.values + 0.02)
+    shifted = ctx.background + ctx.eps ** ctx.sigma * v
+    ref_shifted = _full_grid_cubic(ctx, shifted)
+    for out, ref in ((ctx.cubic(shifted), ref_shifted),
+                     (ctx.cubic(w), _full_grid_cubic(ctx, w))):
+        assert np.max(np.abs(out.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # N_eps subtracts two values of P: its error is measured against their size
+    scale = ctx.eps ** -ctx.sigma
+    ref = scale * (ref_shifted - _full_grid_cubic(ctx, ctx.background))
+    err = np.max(np.abs(ctx.cubic_shift(v).values - ref))
+    assert err <= 1e-14 * scale * np.max(np.abs(ref_shifted))
+
+
+def test_table_cubic_sums_every_range(grid, rng):
+    # a table's psi' callables have no degree form: its ranges past 16 stay
+    # one by one up to M
+    m = np.arange(1, 65, dtype=float)
+    psi = [lambda eta, g=g: g * eta ** 3 for g in m ** -5.0]
+    spec = lw.PotentialSpec.finite_range(alpha=m ** -6.5, beta=-m ** -4.0,
+                                         psi_prime=psi)
+    ctx = lw.LongWaveOperators(lw.certify_type1(lw.build_model(spec)), grid, 0.2)
+    w = random_band_limited(grid, rng, modes=400, even=True)
+    w = lw.Field(grid, 0.05 * w.values + 0.02)
+    ref = _full_grid_cubic(ctx, w)
+    assert np.max(np.abs(ctx.cubic(w).values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_far_domain_error_names_the_bound(prof_cm4, grid, rng):
+    # ranges m <= 16 pass their sample-by-sample check; the bound on the
+    # ranges past 16, eps^2 (|c_0| + 2 sum |c_j|) / N, does not, and the
+    # error names it with delta_star
+    ctx = lw.LongWaveOperators(prof_cm4, grid, 0.5)
+    w = 0.5 * random_band_limited(grid, rng, modes=600, even=True)
+    c = ctx._cut_dct(ctx._half(w))
+    bound = 0.25 * (abs(c[0]) + 2.0 * np.sum(np.abs(c[1:]))) / grid.N
+    assert bound > ctx.model.delta_star
+    with pytest.raises(lw.DomainError) as err:
+        ctx.cubic(w)
+    assert "ranges m > 16" in str(err.value)
+    assert f"{bound:.3e} > delta_star = {ctx.model.delta_star}" in str(err.value)
+
+
+def test_nnn_cubic_is_the_row_sum(ctx_nnn1, grid, rng):
+    # M = 2 <= 16: P is the plain sum over both ranges, bit for bit
+    ctx = ctx_nnn1
+    v = 0.05 * random_band_limited(grid, rng, even=True)
+    stack, m = ctx._sinc_stack, np.arange(1, 3, dtype=float)[:, None]
+    eta = ctx.eps ** 2 * m * _idct(stack * ctx._cut_dct(ctx._half(v)))
+    psi = ctx.model.psi_prime(m, eta)
+    row_sum = np.sum(m * stack * ctx._cut_dct(psi), axis=0)
+    assert np.array_equal(ctx.cubic(v).values,
+                          (ctx.eps ** -6 * ctx._field(_idct(row_sum))).values)
 
 
 def _dense_coupling(ctx, D, chunk=256):

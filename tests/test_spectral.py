@@ -185,6 +185,15 @@ def test_chirp_sum_matches_dense_sum(rng, n_in, n_out, d, m0, j0):
     assert np.max(np.abs(out - ref.astype(complex))) <= 1e-13 * np.sum(np.abs(x))
 
 
+def test_chirp_sum_takes_a_stack_of_rows(rng):
+    # a stack sums along its last axis, each row as a lone call would
+    x = rng.standard_normal((3, 40)) + 1j * rng.standard_normal((3, 40))
+    out = chirp_sum(x, 0.3, 25, m0=17, j0=1)
+    assert out.shape == (3, 25)
+    for row, ref in zip(out, (chirp_sum(r, 0.3, 25, m0=17, j0=1) for r in x)):
+        assert np.max(np.abs(row - ref)) <= 1e-15 * np.sum(np.abs(x))
+
+
 def test_chirp_sum_rejects_negative_offsets():
     with pytest.raises(lw.DomainError):
         chirp_sum(np.ones(3), 0.1, 4, m0=-1)
