@@ -26,12 +26,11 @@ Every value of lambda and theta here is ``c0^2 + t1(k)``, with the Taylor
 remainder ``t1(k) = lambda(k) - lambda(0)`` of ``TaylorRemainders``; the
 second remainder ``T2(k)`` is the quantity every operator estimate rests
 on.  Both suffer catastrophic cancellation when formed naively (nearly
-equal numbers for small k), so they are assembled from the per-term
-kernels ``g1(y) = sinc^2(y/2) - 1`` and ``g(y) = g1(y) + y^2/12`` plus
+equal numbers for small k), so they are -(2/k^2) times sums of alpha_m
+R_p(mk), p = 2, 3, R_p the cosine less its first p Taylor terms, plus
 exact corrections for the coefficient tail.  On a progression k_j = j dk
-(an operator context's eps k_j, the certificate grid)
-``TaylorRemainders.t1_t2_progression`` sums most rows by one chirp-z
-transform.
+(an operator context's eps k_j, the certificate grid) those sums come
+from one ``spectral.remainder_sums``.
 """
 
 import math
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .spectral import chirp_sum
+from .spectral import direct_remainder_sums, remainder_sums
 
 __all__ = [
     "dispersion_relation", "phase_speed_sq", "long_wave_curvature",
@@ -51,50 +50,11 @@ __all__ = [
 
 # m-extension cap for small-argument remainder evaluation (power-law family)
 _M_EXT_CAP = 20_000_000
-_CHUNK_BUDGET = 4_000_000  # elements per (m-chunk x k) block of _kernel_sums
 _EPS = float(np.finfo(float).eps)
-# progression points below this k (rad) take the kernel sum over every row,
-# not the chirp: the chirp rows enter as 2 (A0 - C(k)) / k^2, whose rounding
-# 1/k^2 amplifies.  On the certificate grid and on L = 40 contexts at eps
-# 0.05 and 0.4 of calogero_moser a = 3.5/4/6, nnn g = 1, classical FPUT and
-# finite_range [1, 0, 0.3], any cut in [0.05, 1] keeps the progression
-# within 3e-15 c0^2 of lambda and 1.1e-14 of t1, t2 (relative) from t1_t2;
-# 0.6 keeps the values the certificates and solves were checked at
-_CHIRP_K_MIN = 0.6
 # certify_type1 samples lambda on linspace(0, _K_MAX, _N_SAMPLES + 1)
 _K_MAX, _N_SAMPLES = 4.0 * math.pi, 4096
 _K_STAR_CANDIDATES = (0.5, 1.0, 1.5, 2.0)  # k* values certify_type1 tries, in order
 _MU_SAFETY = 1.2  # factor on the sampled mu* of condition (iii)
-
-
-def _kernels(y):
-    """g1(y) = sinc^2(y/2) - 1 and g(y) = g1(y) + y^2/12 for y > 0.
-
-    One sin(y/2)/(y/2) per element; the entries with y < 2, where g cancels,
-    are overwritten by the Taylor series of g (ten factors, dropped terms
-    below 1e-20 of g) and g1 = g - y^2/12, which does not cancel there.
-    Consumes ``y``.
-    """
-    small = y < 2.0
-    y2 = y[small] ** 2
-    y *= 0.5
-    g1 = np.sin(y)
-    g1 /= y
-    g1 *= g1
-    g1 -= 1.0
-    y *= y
-    y /= 3.0  # (y/2)^2 / 3 = y^2/12
-    g = y
-    g += g1
-    # g = y^4/360 - y^6/20160 + ...: consecutive terms differ by the factor
-    # -y^2/((2n+1)(2n+2)), n = 3..12
-    gs = 1.0 - y2 / 650.0
-    for d in (552.0, 462.0, 380.0, 306.0, 240.0, 182.0, 132.0, 90.0, 56.0):
-        gs = 1.0 - y2 / d * gs
-    gs *= y2 * y2 / 360.0
-    g[small] = gs
-    g1[small] = gs - y2 / 12.0
-    return g1, g
 
 
 def dispersion_relation(model, k):
@@ -149,17 +109,17 @@ class TaylorRemainders:
     t1(k) = lambda(k) - lambda(0)
     t2(k) = lambda(k) - lambda(0) - lambda''(0) k^2 / 2
 
-    Assembled as sum_m alpha_m m^2 g(mk) over the explicit range plus
-    corrections for the full-series tail beyond it (``alpha_tail``, zero for
-    a table): subtracting the tail mass of sum alpha_m m^2 (the kernels
-    approach -1 resp. -1 + y^2/12 in the oscillatory regime) and, for t2,
+    Over the explicit range t1 = -(2/k^2) sum_m alpha_m R_2(mk) and t2 =
+    -(2/k^2) sum_m alpha_m R_3(mk), R_p the cosine less its first p Taylor
+    terms (``spectral.trig_remainder``), plus corrections for the
+    full-series tail beyond it (``alpha_tail``, zero for a table):
+    subtracting the tail mass of sum alpha_m m^2 (-(2/y^2) R_2(y) averages
+    to -1, and -(2/y^2) R_3(y) to -1 + y^2/12, at large y) and, for t2,
     adding back k^2/12 times the tail of sum alpha_m m^4 so the exact
     curvature is subtracted.  For the power-law family the explicit sum is
     extended adaptively until every requested k sits in the oscillatory
-    regime of the tail.
-
-    ``t1_t2_progression`` gives the same values on k_j = j dk, with the
-    rows past mk = 2 above ``_CHIRP_K_MIN`` summed by one ``chirp_sum``.
+    regime of the tail.  ``t1_t2_progression`` gives the same values on
+    k_j = j dk.
     """
 
     model: object = field(repr=False)
@@ -175,47 +135,22 @@ class TaylorRemainders:
         k = np.atleast_1d(np.asarray(k, dtype=float))
         out1, out2 = np.zeros_like(k), np.zeros_like(k)
         nz = k != 0.0
-        if not np.any(nz):
-            return out1, out2
-        kk = k[nz]
-        m_eff = self._m_eff(np.min(np.abs(kk)))
-        acc1, acc2 = self._kernel_sums(np.abs(kk), m_eff)
-        self._add_tails(kk, m_eff, acc1, acc2)
-        out1[nz], out2[nz] = acc1, acc2
+        if np.any(nz):
+            m_eff = self._m_eff(np.min(np.abs(k[nz])))
+            alpha = self.model.alpha_of(np.arange(1, m_eff + 1, dtype=float))
+            r = direct_remainder_sums(alpha, 1, np.abs(k[nz]), "cos", (2, 3))
+            out1[nz], out2[nz] = self._assemble(k[nz], m_eff, r)
         return out1, out2
 
     def t1_t2_progression(self, dk, n):
-        """``t1_t2`` at k_j = j dk, j < n, dk > 0.
-
-        m_eff and the tail terms are those of ``t1_t2`` on the whole array
-        (set by k_1 = dk).  Points below ``_CHIRP_K_MIN``, where 1 - cos
-        cancels, take the kernel sum.  Above it, rows m <= m_s = ceil(2 /
-        k_first) take the kernels too (they reach y < 2, where g cancels
-        against y^2/12).  Rows m_s < m <= m_eff, where
-        alpha_m m^2 g1(mk) = 2 alpha_m (1 - cos mk) / k^2 - alpha_m m^2,
-        add 2 (A0 - C(k)) / k^2 - S2 to t1 and also k^2 S4 / 12 to t2, with
-        C(k) = sum alpha_m cos(mk) and A0, S2, S4 = sum alpha_m (1, m^2, m^4)
-        over those rows.
-        """
-        k = dk * np.arange(n, dtype=float)
-        out1, out2 = np.zeros(n), np.zeros(n)
+        """``t1_t2`` at k_j = j dk, j < n, dk > 0, with m_eff and the tail
+        terms of ``t1_t2`` on the whole array (set by k_1 = dk) and the
+        sums of R_2, R_3 from one ``remainder_sums``."""
         m_eff = self._m_eff(dk)
-        cut = min(n, math.ceil(_CHIRP_K_MIN / dk))
-        out1[1:cut], out2[1:cut] = self._kernel_sums(k[1:cut], m_eff)
-        if cut < n:
-            kk = k[cut:]
-            m_s = min(m_eff, math.ceil(2.0 / kk[0]))
-            acc1, acc2 = self._kernel_sums(kk, m_s)
-            if m_s < m_eff:
-                m = np.arange(m_s + 1, m_eff + 1, dtype=float)
-                alpha = self.model.alpha_of(m)
-                c = chirp_sum(alpha, dk, n - cut, m0=m_s + 1, j0=cut).real
-                k2 = kk * kk
-                rows = 2.0 * (np.sum(alpha) - c) / k2 - np.sum(alpha * m * m)
-                acc1 += rows
-                acc2 += rows + k2 * np.sum(alpha * m * m * m * m) / 12.0
-            out1[cut:], out2[cut:] = acc1, acc2
-        self._add_tails(k[1:], m_eff, out1[1:], out2[1:])
+        alpha = self.model.alpha_of(np.arange(1, m_eff + 1, dtype=float))
+        r = remainder_sums(alpha, 1, dk, n, "cos", (2, 3))
+        out1, out2 = np.zeros(n), np.zeros(n)
+        out1[1:], out2[1:] = self._assemble(dk * np.arange(1, n), m_eff, r[:, 1:])
         return out1, out2
 
     def _m_eff(self, k_min):
@@ -226,29 +161,17 @@ class TaylorRemainders:
             return model.M
         return int(min(max(model.M, math.ceil(8.0 / k_min)), _M_EXT_CAP))
 
-    def _kernel_sums(self, ka, m_hi):
-        """sum_{m <= m_hi} alpha_m m^2 (g1, g)(m ka) at ka > 0."""
-        acc1, acc2 = np.zeros_like(ka), np.zeros_like(ka)
-        step = max(1, _CHUNK_BUDGET // max(1, ka.size))
-        for lo in range(0, m_hi, step):
-            hi = min(lo + step, m_hi)
-            mc = np.arange(lo + 1, hi + 1, dtype=float)
-            w2 = self.model.alpha_of(mc) * mc * mc
-            g1, g = _kernels(np.outer(mc, ka))
-            acc1 += w2 @ g1
-            acc2 += w2 @ g
-        return acc1, acc2
-
-    def _add_tails(self, kk, m_eff, acc1, acc2):
-        """Add the full-series terms beyond m_eff to acc1, acc2 in place."""
-        model = self.model
-        tail2, tail4 = model.alpha_tail(2, m_eff), model.alpha_tail(4, m_eff)
+    def _assemble(self, kk, m_eff, r):
+        """t1, t2 at kk != 0 from the sums ``r`` of alpha_m (R_2, R_3)(m kk)
+        over m <= m_eff, plus the full-series terms beyond m_eff."""
+        t1, t2 = -2.0 * r / kk ** 2
+        tail2, tail4 = self.model.alpha_tail(2, m_eff), self.model.alpha_tail(4, m_eff)
         osc = np.abs(kk) * m_eff >= 4.0
-        # oscillatory regime: tail kernels average to -1 (+ y^2/12 for t2);
-        # sub-oscillatory (only reachable under the extension cap): quadratic
-        # kernel approximation of the tail.
-        acc1 += np.where(osc, -tail2, -kk * kk * tail4 / 12.0)
-        acc2 += np.where(osc, -tail2 + kk * kk * tail4 / 12.0, 0.0)
+        # oscillatory regime: tail rows average to -1 (+ y^2/12 for t2); else
+        # (only under the extension cap) the tail's quadratic approximation
+        t1 += np.where(osc, -tail2, -kk * kk * tail4 / 12.0)
+        t2 += np.where(osc, -tail2 + kk * kk * tail4 / 12.0, 0.0)
+        return t1, t2
 
 
 def taylor_remainders(model):
@@ -360,11 +283,13 @@ def _sup_enclosure(model, k, lam, k_star, rows):
     beyond it, lambda is at most the larger endpoint plus C2(left end)
     width^2 / 8.  The mass beyond M, at most ``tail_alpha_m2`` in every A_j
     (m^j <= m^2 for m >= 1), adds 4 tail_alpha_m2 / k*^2 (conservative for
-    the power law, whose rows run past M).  A sample is c0^2 plus kernel
-    terms of at most ``rows`` rows, each at most |alpha_m| m^2 in modulus,
-    and the chirp-z sum C(k) of at most ``rows`` alpha_m over an FFT of
-    length >= rows + n, entering as 2 C(k) / k^2; (rows + n) eps (A2 +
-    4 A0 / k*^2) allows for the rounding of both.  Beyond the last sample,
+    the power law, whose rows run past M).  A sample is c0^2 plus direct
+    terms -(2/k^2) alpha_m R_2(mk) = alpha_m m^2 (sinc^2(mk/2) - 1), each
+    at most |alpha_m| m^2 in modulus, and 2 (S0 - C(k)) / k^2 - S2 for the
+    rows ``remainder_sums`` takes through the chirp-z sum C(k) of alpha_m
+    (FFT length >= rows + n; S0, S2 = sum alpha_m (1, m^2)), at most
+    ``rows`` rows in all: (rows + n) eps (A2 + 4 A0 / k*^2) allows for the
+    rounding of both, however the rows split.  Beyond the last sample,
     |lambda| <= 4 A0 / k^2.
     """
     m = model.m_values()

@@ -58,11 +58,8 @@ the other two have the same size t, and T_far is
 ``Msym(t) = sum_{m > 16} w_m sinc^2(m t / 2)``: a mean V0 of V enters as
 V0 Msym W^, and the output mean is ``(1/N) sum_j Msym(t_j) V^(j) W^(-j)``.
 sig and Msym are built once per context on the progression
-t_j = j eps pi / L, split by range: the ranges 16 < m <= ceil(2 / dt),
-dt = eps pi / L, are summed one by one at every t_j, and the ranges
-beyond them by one chirp-z transform each.  Those have m t_j >= m dt > 2
-at every t_j > 0, so ``sin(m t) - m t`` and ``1 - cos(m t)`` do not
-cancel in their closed forms.
+t_j = j eps pi / L by ``spectral.remainder_sums``, which sums the (m, t_j)
+with m t_j <= 2 one by one and may take the rest through one chirp.
 
 P_eps takes the same split: the rows m <= 16 one by one, and for the
 power law all ranges 16 < m <= M by product-to-sum, one degree at a
@@ -90,27 +87,23 @@ fields H_{j-1} * b^q of degree j - 1.  A call costs O(n^2) length-N
 transforms for n degrees.  The series is cut by the 2^-53 rule at the
 bound |A_h W| <= (|c(0)| + 2 sum_{j>=1} |c(j)|) / N, which holds for
 every h since |sinc| <= 1 and also checks the far ranges against
-delta*.  The tables H_j live on t_i = i dt, i <= N/2, are built on first
-use with the range split of sig and Msym (one block of cos and sin for
-m <= ceil(2 / dt), one chirp-z transform of all degrees beyond), and are
-extended when a call needs more degrees.  Raw cos and sin suffice: the
-far ranges hold at most 2.6e-4 of max|P| on W0 (a = 3.5, eps >= 0.05),
-so the digits lost to cancellation at small t stay below rounding of P.
+delta*.  The tables H_j live on t_i = i eps pi / L, i <= N/2, are built
+on first use by ``remainder_sums`` like sig and Msym, and are extended
+when a call needs more degrees.  Plain cos and sin suffice: the far
+ranges hold at most 2.6e-4 of max|P| on W0 (a = 3.5, eps >= 0.05), so
+the digits lost to cancellation at small t stay below rounding of P.
 """
-
-import math
 
 import numpy as np
 
 from .catalog import b_coefficient
 from .dispersion import long_wave_curvature, taylor_remainders
 from .errors import CertificationError, ConfigError, DomainError, SolverError
-from .spectral import Field, apply_multiplier, chirp_sum
+from .spectral import Field, apply_multiplier, remainder_sums, trig_remainder
 
 __all__ = ["moving_average", "averaging_defect", "LongWaveOperators"]
 
 _M_NEAR = 16            # rows of Q, K and P summed one by one (the rest in closed form)
-_ROW_BUDGET = 500_000   # elements per (m-chunk x t) block of the far tables
 _EPS_MAX = 0.5          # largest eps a context accepts
 _SOLVE_RTOL = 1e-11     # accepted relative residual of a linearized solve
 _REFINE_STEPS = 2       # band-solve refinements before a solve gives up
@@ -138,7 +131,8 @@ def _defect_symbol(y):
     where that is its value to the last bit (and y^3 underflows near 0)."""
     y = np.abs(y)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(y < 1e-8, -1.0 / 6.0, _sin_defect(y) / y ** 3)
+        return np.where(y < 1e-8, -1.0 / 6.0,
+                        trig_remainder(y, "sin", (1,))[0] / y ** 3)
 
 
 def averaging_defect(field, width):
@@ -156,86 +150,39 @@ def averaging_defect(field, width):
     return apply_multiplier(field, lambda k: 0.25 * _defect_symbol(0.5 * width * k))
 
 
-def _sin_defect(y):
-    """sin(y) - y for y >= 0; a Taylor series below y = 1, where the
-    difference cancels (dropped terms below 1e-19 of it)."""
-    out = np.sin(y) - y
-    small = y < 1.0
-    y2 = y[small] ** 2
-    s = 1.0 - y2 / 420.0
-    for d in (342.0, 272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):
-        s = 1.0 - y2 / d * s
-    out[small] = -(y[small] * y2 / 6.0) * s
-    return out
-
-
 def _far_symbols(beta, dt, n):
     """sig(t) = sum_{m > _M_NEAR} beta_m (sin(m t) - m t) and
     Msym(t) = sum_{m > _M_NEAR} beta_m m^3 sinc^2(m t / 2) at t_j = j dt,
     j < n, over the table ``beta`` of m = 1..M > _M_NEAR.
 
-    The ranges m <= m_s = ceil(2 / dt) are summed one by one at every t
-    (sin y - y by its series where it cancels).  The ranges m > m_s have
-    m t >= m dt > 2 at every t > 0, so neither difference cancels there
-    and each comes from one ``chirp_sum``: sig = Im C(t) - t A and Msym =
-    2 (A - Re C1(t)) / t^2, with C, C1 the sums of beta_m resp. beta_m m
-    against exp(i m t) and A = sum beta_m m over those ranges.
+    sig is the ``remainder_sums`` of beta_m with sin less one term;
+    Msym = -(2 / t^2) times that of beta_m m with cos less one term, since
+    m^2 sinc^2(m t / 2) = 2 (1 - cos m t) / t^2.
     """
-    m = np.arange(1, beta.size + 1, dtype=float)
-    bm = beta * m
-    w = bm * m * m
-    t = dt * np.arange(1, n, dtype=float)
-    sig, msym = np.zeros(n), np.zeros(n)
-    msym[0] = np.sum(w[_M_NEAR:])
-    m_s = _chirp_start(beta.size, dt)
-    step = max(1, _ROW_BUDGET // max(1, t.size))
-    for lo in range(_M_NEAR, m_s, step):
-        hi = min(lo + step, m_s)
-        y = np.outer(m[lo:hi], t)
-        sig[1:] += beta[lo:hi] @ _sin_defect(y)
-        y *= 0.5
-        sinc = np.sin(y) / y
-        msym[1:] += w[lo:hi] @ (sinc * sinc)
-    if m_s < beta.size:
-        a = np.sum(bm[m_s:])
-        sig[1:] += chirp_sum(beta[m_s:], dt, n - 1, m0=m_s + 1, j0=1).imag - t * a
-        c1 = chirp_sum(bm[m_s:], dt, n - 1, m0=m_s + 1, j0=1).real
-        msym[1:] += 2.0 * (a - c1) / (t * t)
+    m = np.arange(_M_NEAR + 1, beta.size + 1, dtype=float)
+    far = beta[_M_NEAR:]
+    sig = remainder_sums(far, _M_NEAR + 1, dt, n, "sin", (1,))[0]
+    msym = remainder_sums(far * m, _M_NEAR + 1, dt, n, "cos", (1,))[0]
+    msym[0] = np.sum(far * m * m * m)
+    msym[1:] *= -2.0 / (dt * np.arange(1, n, dtype=float)) ** 2
     return sig, msym
-
-
-def _chirp_start(M, dt):
-    """Last range summed one by one in the far tables: ranges past
-    ceil(2 / dt) have m t > 2 at every t > 0 and go through one chirp."""
-    return max(_M_NEAR, min(M, math.ceil(2.0 / dt)))
 
 
 def _degree_tables(p, M, dt, n, degrees):
     """H_j(t_i) at t_i = i dt, i < n, for each j of ``degrees``: the sums
     over 16 < m <= M of m^-(p + j + 1) cos(m t) for odd j and of
-    i m^-(p + j + 1) sin(m t) for even j.
-
-    The ranges m <= ``_chirp_start`` share one block of cos(m t), sin(m t)
-    through a matrix of m-weights, the ranges beyond one ``chirp_sum`` of
-    the stacked weights.  Raw cos and sin: no difference cancels here.
+    i m^-(p + j + 1) sin(m t) for even j, each kind one ``remainder_sums``
+    of the stacked weights with no Taylor term taken off.
     """
     m = np.arange(_M_NEAR + 1, M + 1, dtype=float)
     degrees = np.asarray(degrees)
     w = m ** -(p + 1.0 + degrees[:, None])
-    t = dt * np.arange(n, dtype=float)
-    cos_sum, sin_sum = np.zeros((degrees.size, n)), np.zeros((degrees.size, n))
-    m_s = _chirp_start(M, dt) - _M_NEAR
-    step = max(1, _ROW_BUDGET // n)
-    for lo in range(0, m_s, step):
-        hi = min(lo + step, m_s)
-        y = np.outer(m[lo:hi], t)
-        cos_sum += w[:, lo:hi] @ np.cos(y)
-        sin_sum += w[:, lo:hi] @ np.sin(y)
-    if m_s < m.size:
-        c = chirp_sum(w[:, m_s:], dt, n, m0=m_s + _M_NEAR + 1)
-        cos_sum += c.real
-        sin_sum += c.imag
-    return np.where(degrees[:, None] % 2 == 1, cos_sum, 1j * sin_sum)
+    odd = degrees % 2 == 1
+    out = np.empty((degrees.size, n), dtype=complex)
+    for rows, kind, unit in ((odd, "cos", 1.0), (~odd, "sin", 1j)):
+        if np.any(rows):
+            out[rows] = unit * remainder_sums(w[rows], _M_NEAR + 1, dt, n, kind, (0,))[0]
+    return out
 
 
 def _pascal(n):
@@ -283,8 +230,8 @@ class LongWaveOperators:
     one by one up to M.  The linear multipliers always use the
     model's full coefficient table plus certified tail corrections, evaluated on the
     grid's progression eps k_j = j eps pi / L by
-    ``TaylorRemainders.t1_t2_progression`` (one chirp-z transform above
-    0.6 rad).  eps must lie in (0, 0.5].
+    ``TaylorRemainders.t1_t2_progression`` (``spectral.remainder_sums``).
+    eps must lie in (0, 0.5].
     """
 
     def __init__(self, profile, grid, eps):

@@ -103,7 +103,7 @@ class LatticeState:
     spread_max: float = 0.0
     _accel: np.ndarray = field(default=None, repr=False)
     _accel_nl: np.ndarray = field(default=None, repr=False)
-    _kernels: object = field(default=None, repr=False)
+    _ring: object = field(default=None, repr=False)
 
     def strain(self):
         """Nearest-neighbour strain r_j = d_{j+1} - d_j."""
@@ -113,7 +113,7 @@ class LatticeState:
         return LatticeState(model=self.model, J=self.J, d=self.d.copy(),
                             v=self.v.copy(), t=self.t, m_force=self.m_force,
                             seam_jump=self.seam_jump, center=self.center,
-                            _kernels=self._kernels)
+                            _ring=self._ring)
 
 
 def init_from_wave(sol, J, j_c=None, m_force=None):
@@ -258,12 +258,12 @@ def _check_domain(state, r):
     return rho
 
 
-def _ring_kernels(state):
+def _ring_multipliers(state):
     """The state's ring multipliers, rebuilt when model, J or m_force moved."""
-    kern = state._kernels
+    kern = state._ring
     if (kern is None or kern.model is not state.model or kern.J != state.J
             or kern.m.size != state.m_force):
-        state._kernels = kern = _RingKernels(state.model, state.J, state.m_force)
+        state._ring = kern = _RingKernels(state.model, state.J, state.m_force)
     return kern
 
 
@@ -273,7 +273,7 @@ def _series_terms(state, rho):
         return None
     fit = state.model.series_length(rho)
     if fit is not None:
-        _ring_kernels(state)
+        _ring_multipliers(state)
     return fit
 
 
@@ -293,7 +293,7 @@ def _power_hats(state, n_terms):
 
 def _fft_force(state, r, n_terms, linear):
     # F = sum_n sum_k binom(n,k) (-1)^k x^(n-k) (K_n * x^k), Horner in x^p
-    kern = state._kernels
+    kern = state._ring
     mult = kern.weights(n_terms)
     x, hats = _power_hats(state, n_terms)
     out = np.zeros(state.J)
@@ -329,7 +329,7 @@ def _force(state, linear):
     state.force_paths.add("fft")
     state.series_terms = max(state.series_terms, n_terms)
     state.series_bound = max(state.series_bound,
-                             tail * rho * state._kernels.linear_scale)
+                             tail * rho * state._ring.linear_scale)
     return _fft_force(state, r, n_terms, linear)
 
 
@@ -376,7 +376,7 @@ def step_split(state, dt):
     """
     if state._accel_nl is None:
         state._accel_nl = nonlinear_force(state)
-    cos, sinc, shear = _ring_kernels(state).rotation(dt)
+    cos, sinc, shear = _ring_multipliers(state).rotation(dt)
     d_hat = np.fft.rfft(state.d)
     v_hat = np.fft.rfft(state.v + 0.5 * dt * state._accel_nl)
     state.d = np.fft.irfft(cos * d_hat + sinc * v_hat, n=state.J)
@@ -403,7 +403,7 @@ def total_energy(state):
                         for m in range(1, state.m_force + 1))
         return kinetic + potential
     n_terms = fit[0]
-    mult = state._kernels.weights(n_terms)
+    mult = state._ring.weights(n_terms)
     _, hats = _power_hats(state, n_terms + 1)
     # real-field Parseval over the half spectrum: interior modes count twice
     w = np.full(state.J // 2 + 1, 2.0 / state.J)
@@ -411,7 +411,7 @@ def total_energy(state):
     if state.J % 2 == 0:
         w[-1] = 1.0 / state.J
     # degree n+1 of the energy is -<x, F_n>/(n+1) (Euler's relation)
-    linear = state._kernels.linear * np.fft.rfft(r)
+    linear = state._ring.linear * np.fft.rfft(r)
     potential = -0.5 * np.sum(w * (np.conj(hats[0]) * linear).real)
     for p in range(n_terms):
         for k in range(1, n_terms - p + 1):
@@ -489,7 +489,7 @@ def run_and_verify(sol, J, T, dt=None, j_c=None, m_force=None,
     elif dt <= 0.0:
         raise ConfigError(f"dt={dt} must be > 0")
     state = init_from_wave(sol, J, j_c=j_c, m_force=m_force)
-    omega_max = _ring_kernels(state).omega_max
+    omega_max = _ring_multipliers(state).omega_max
     if omega_max * dt > 0.5 * math.pi:
         raise ConfigError(
             f"dt={dt} breaks the stability bound omega_max*dt <= pi/2: "

@@ -201,10 +201,12 @@ class TestTaylorRemainders:
 
     @pytest.mark.parametrize("j", [39, 43])
     def test_progression_against_mpmath(self, cm6, j):
-        # a = 6, eps = 0.2 on the L = 40 box: j = 39 is the first point
-        # above the 0.6 rad cut.  A chirp over every m misses t2 here by
-        # 3-6e-12 (rows with mk < 2), and an m_eff set by the points above
-        # the cut instead of k_1 = dk misses by 1e-12
+        # a = 6, eps = 0.2 on the L = 40 box (m_eff = 510): j = 39 and 43
+        # lie in the chirp of remainder_sums, whose corner is m_s = 8,
+        # j_s = 16 here, so the chirp carries the rows 9 <= m <= 510 with
+        # mk > 5 and the rows m <= 8 are summed one by one.  A chirp over
+        # every m misses t2 here by 3-6e-12 (rows with mk < 2), and an
+        # m_eff set by a later point instead of k_1 = dk misses by 1e-12
         dk = 0.2 * math.pi / 40.0
         t1, t2 = taylor_remainders(cm6).t1_t2_progression(dk, 1025)
         ref1, ref2 = _mpmath_t1_t2(cm6, j * dk, math.ceil(8.0 / dk))

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import latticewaves as lw
-from latticewaves import operators
+from latticewaves import operators, spectral
 from latticewaves.operators import _defect_symbol, _idct
 from latticewaves.spectral import chirp_sum, derivative, sobolev_norm
 from conftest import random_band_limited
@@ -88,8 +88,9 @@ class TestAveragingDefect:
             assert sobolev_norm(lhs - rhs, 0.0) < 1e-11
 
     def test_symbol_matches_mpmath(self):
-        # (sin y - y) / y^3 at 40 digits, on both sides of y = 0.05 and of
-        # the series cut of _sin_defect at y = 1; the symbol is even in y
+        # (sin y - y) / y^3 at 40 digits, on both sides of y = 0.05 and,
+        # at y = 1 and 3, of the series cut of trig_remainder at y = 2; the
+        # symbol is even in y
         mpmath = pytest.importorskip("mpmath")
         ys = [1e-3, 0.0499, 0.05, 0.0501, 0.1, 1.0, 3.0, 10.0]
         with mpmath.workdps(40):
@@ -132,8 +133,8 @@ class TestLinearOperator:
         "cm35", "cm4", "cm6", "nnn1", "fput", "finite_range", "long_table"])
     def test_symbols_match_series_route(self, request, grid, name):
         # the context builds t1, t2 on k_j = j eps pi / L by
-        # t1_t2_progression (a chirp sum above 0.6 rad); the series route
-        # evaluates the kernel sum at every eps k_j
+        # t1_t2_progression (one chirp for the rows and points with
+        # m eps k_j > 2); the series route sums every row at every eps k_j
         if name in ("cm35", "cm4", "cm6", "nnn1"):
             prof = request.getfixturevalue("prof_" + name)
         else:
@@ -588,8 +589,9 @@ _FAR_CASES = [(fam, eps) for fam in ("cm35", "cm4", "cm6", "table")
                          ids=[f"{f}-eps{e}" for f, e in _FAR_CASES])
 def test_far_symbols_sum_every_range(request, grid, monkeypatch, fam, eps):
     # sig and Msym against the range-by-range sum over every m > 16 at
-    # every mode; each chirp covers ranges with m dt > 2 only, where the
-    # closed forms Im C - t A and 2 (A - Re C1) / t^2 do not cancel
+    # every mode; each chirp covers ranges m >= m0 at modes j >= j0 with
+    # m0 j0 dt > 2 only, where the closed forms Im C - t A and
+    # 2 (A - Re C1) / t^2 do not cancel
     if fam == "table":
         model = lw.build_model(_far_table())
     else:
@@ -598,13 +600,14 @@ def test_far_symbols_sum_every_range(request, grid, monkeypatch, fam, eps):
     chirps = []
 
     def recorded(x, d, n_out, m0=0, j0=0):
-        chirps.append((m0, d))
+        chirps.append((m0, j0, d))
         return chirp_sum(x, d, n_out, m0=m0, j0=j0)
 
-    monkeypatch.setattr(operators, "chirp_sum", recorded)
+    monkeypatch.setattr(spectral, "chirp_sum", recorded)
     sig, msym = operators._far_symbols(model.beta, dt, n)
-    assert all(m0 * d > 2.0 for m0, d in chirps)
-    assert chirps or model.M <= np.ceil(2.0 / dt)
+    assert all(m0 * j0 * d > 2.0 for m0, j0, d in chirps)
+    m_s, _ = spectral._corner(17, model.M - 16, dt, n)
+    assert chirps or model.M <= m_s
     t = dt * np.arange(n)
     ref_sig, ref_msym = np.zeros(n), np.zeros(n)
     ref_msym[0] = np.sum(model.beta[16:] * np.arange(17, model.M + 1) ** 3.0)

@@ -1,5 +1,6 @@
 """Grid/Field substrate: transforms, multipliers, norms, parity."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 import latticewaves as lw
+from latticewaves import spectral
 from latticewaves.spectral import (antiderivative_mean_free, chirp_sum,
                                    derivative, evaluate, evaluate_uniform,
-                                   mean_value)
+                                   mean_value, remainder_sums, trig_remainder)
 from conftest import random_band_limited
 
 
@@ -197,6 +199,124 @@ def test_chirp_sum_takes_a_stack_of_rows(rng):
 def test_chirp_sum_rejects_negative_offsets():
     with pytest.raises(lw.DomainError):
         chirp_sum(np.ones(3), 0.1, 4, m0=-1)
+
+
+# every (kind, terms) the package sums: t1/t2, sig, Msym, H_j odd and even
+_REMAINDER_KINDS = [("cos", (2, 3)), ("sin", (1,)), ("cos", (1,)),
+                    ("cos", (0,)), ("sin", (0,))]
+# dt and n of the certificate grid and of eps 0.05 / 0.4 contexts (L = 40)
+_PROGRESSIONS = {"cert": (4.0 * np.pi / 4096, 4097),
+                 "eps0.05": (0.05 * np.pi / 40.0, 1025),
+                 "eps0.4": (0.4 * np.pi / 40.0, 1025)}
+
+
+def _remainder_ld(y, kind, p):
+    """R_p(y) in long double: the Taylor series to 40 terms below y = 2,
+    else cos (as 1 - 2 sin^2(y/2) when p >= 1) or sin less p terms."""
+    q0 = ("cos", "sin").index(kind)
+    if q0 == 0 and p >= 1:
+        r, start = -2.0 * np.sin(y / 2) ** 2, 1
+    else:
+        r, start = (np.sin(y) if q0 else np.cos(y)), 0
+    for n in range(start, p):
+        r = r - (-1) ** n * y ** (q0 + 2 * n) / np.longdouble(math.factorial(q0 + 2 * n))
+    small = y < 2
+    ys, acc = y[small], np.zeros(np.count_nonzero(small), dtype=np.longdouble)
+    for n in range(p + 40, p - 1, -1):  # Horner in y^2
+        acc = acc * ys * ys + (-1) ** n / np.longdouble(math.factorial(q0 + 2 * n))
+    r[small] = acc * ys ** (q0 + 2 * p)
+    return r
+
+
+def test_trig_remainder_against_mpmath():
+    # R_p at 40 digits across the series cut at y = 2 and past 2 pi; cos
+    # less one term is relative-accurate at y = 2 pi as well
+    mpmath = pytest.importorskip("mpmath")
+    ys = np.concatenate((np.geomspace(1e-6, 40.0, 48),
+                         [1.999999, 2.0, 2.000001, 2.0 * np.pi, 1e4 + 0.3]))
+    for kind, terms in _REMAINDER_KINDS:
+        q0 = ("cos", "sin").index(kind)
+        f = (mpmath.cos, mpmath.sin)[q0]
+        out = trig_remainder(ys, kind, terms)
+        assert out.shape == (len(terms), ys.size)
+        for r, p in zip(out, terms):
+            with mpmath.workdps(120):
+                ref = np.array([float(f(mpmath.mpf(y)) - sum(
+                    (-1) ** n * mpmath.mpf(y) ** (q0 + 2 * n)
+                    / mpmath.factorial(q0 + 2 * n) for n in range(p)))
+                    for y in ys])
+            assert np.max(np.abs(r / ref - 1.0)) <= 1e-14
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the dense reference needs extended precision")
+@pytest.mark.parametrize("prog", list(_PROGRESSIONS))
+@pytest.mark.parametrize("M", [2, 144, 3037, 13_838])
+@pytest.mark.parametrize("m0", [1, 17])
+def test_remainder_sums_match_dense_sum(monkeypatch, rng, prog, M, m0):
+    # against the sum with every phase (m0 + i) j dt formed in long double.
+    # The bound is 1e-14 of sum |w_m R_p(m t_j)| at each point, plus what
+    # rounding the phases to floats (one by one) and the chirp's few ulp of
+    # sum |w| allow: 2^-50 sum |w| (1 + y |R_p'(y)|).  That floor decides
+    # only where every R_p(m t_j) nearly vanishes (t_j near 2 pi k for cos
+    # less one term, near pi k for sin) or where p = 0 at large m t_j.
+    dt, n = _PROGRESSIONS[prog]
+    chirps = []
+
+    def recorded(x, d, n_out, m0=0, j0=0):
+        chirps.append((m0, j0, d))
+        return chirp_sum(x, d, n_out, m0=m0, j0=j0)
+
+    monkeypatch.setattr(spectral, "chirp_sum", recorded)
+    m = np.arange(m0, m0 + M, dtype=float)
+    j_s = spectral._corner(m0, M, dt, n)[1]
+    js = np.unique(np.clip([1, 2, 3, j_s - 1, j_s, j_s + 1, n // 3, n // 2,
+                            n - 1, *rng.integers(1, n, 4)], 1, n - 1))
+    for kind, terms in _REMAINDER_KINDS:
+        w = rng.uniform(-1.0, 1.0, M) * m ** -2.0
+        if terms == (0,):  # the degree tables sum stacks of rows
+            w = np.stack((w, rng.uniform(-1.0, 1.0, M) * m ** -3.5))
+        out = remainder_sums(w, m0, dt, n, kind, terms)
+        assert out.shape == (len(terms),) + w.shape[:-1] + (n,)
+        wl, wa = w.astype(np.longdouble), np.abs(w).astype(np.longdouble)
+        y = np.outer(m.astype(np.longdouble), js * np.longdouble(dt))
+        for r, p in zip(out, terms):
+            rp = _remainder_ld(y, kind, p)
+            slope = (_remainder_ld(y, "sin", max(p - 1, 0)) if kind == "cos"
+                     else _remainder_ld(y, "cos", p))
+            bound = (1e-14 * (wa @ np.abs(rp))
+                     + 2.0 ** -50 * (wa @ (1.0 + y * np.abs(slope))))
+            assert np.all(np.abs(r[..., js] - wl @ rp) <= bound), (kind, p)
+    assert all(c0 * c1 * d >= 2.0 for c0, c1, d in chirps)
+    if M == 2:
+        assert not chirps
+
+
+def test_remainder_sums_against_mpmath(rng):
+    # a subset at 30 digits, checking the long-double reference's ground:
+    # M = 144 from m0 = 17 on the certificate grid, where the corner has
+    # rows one by one at every point and a chirp past it
+    mpmath = pytest.importorskip("mpmath")
+    dt, n = _PROGRESSIONS["cert"]
+    M, m0 = 144, 17
+    m_s, j_s = spectral._corner(m0, M, dt, n)
+    assert m_s < m0 + M - 1
+    w = rng.uniform(-1.0, 1.0, M) * np.arange(m0, m0 + M, dtype=float) ** -2.0
+    for kind, terms in _REMAINDER_KINDS[:3]:
+        q0 = ("cos", "sin").index(kind)
+        f = (mpmath.cos, mpmath.sin)[q0]
+        out = remainder_sums(w, m0, dt, n, kind, terms)
+        for j in (1, j_s - 1, j_s, 1000):
+            with mpmath.workdps(30):
+                t = j * mpmath.mpf(dt)
+                rows = [[f(mm * t) - sum((-1) ** k * (mm * t) ** (q0 + 2 * k)
+                                         / mpmath.factorial(q0 + 2 * k)
+                                         for k in range(p)) for p in terms]
+                        for mm in range(m0, m0 + M)]
+                for i, p in enumerate(terms):
+                    ref = mpmath.fsum(mpmath.mpf(wm) * row[i] for wm, row in zip(w, rows))
+                    scale = mpmath.fsum(abs(mpmath.mpf(wm) * row[i]) for wm, row in zip(w, rows))
+                    assert abs(out[i][j] - float(ref)) <= 1e-14 * float(scale)
 
 
 def test_pipeline_does_not_import_scipy_signal(tmp_path):
