@@ -20,7 +20,7 @@ model = lw.build_model(lw.PotentialSpec.calogero_moser(4.0))
 prof = lw.certify_type1(model)
 ctx = lw.LongWaveOperators(prof, grid, eps=0.1)
 
-w0 = lw.kdv_profile(ctx)
+w0 = ctx.background
 print("leading-order profile on the grid:")
 print(f"  amplitude (min value) = {w0.values.min():.12g}")
 print(f"  closed form -5/(8 pi^2) = {-5 / (8 * np.pi ** 2):.12g}")
@@ -35,7 +35,7 @@ print("\nwave speed along the long-wave branch c^2 = c0^2 - lambda''(0) eps^2 / 
 print(f"  eps =  0.0: c^2 = {prof.c0_sq:.10f}   (= c0^2)")
 for eps in (0.05, 0.1, 0.2):
     ctx_e = lw.LongWaveOperators(prof, grid, eps)
-    print(f"  eps = {eps:4}: c^2 = {lw.wave_speed_sq(ctx_e):.10f}")
+    print(f"  eps = {eps:4}: c^2 = {ctx_e.speed_sq:.10f}")
 
 # a=4 closed form: c^2 = 20 zeta(4) + (20 zeta(2)/12) eps^2
 eps = 0.1

@@ -23,7 +23,7 @@ from a bound on |lambda''| (``_sup_enclosure``), plus an envelope beyond
 the grid; condition (iii) stays sampled.
 
 Every value of lambda and theta here is ``c0^2 + t1(k)``, with the Taylor
-remainder ``t1(k) = lambda(k) - lambda(0)`` of ``TaylorRemainders``; the
+remainder ``t1(k) = lambda(k) - lambda(0)`` of ``t1_t2``; the
 second remainder ``T2(k)`` is the quantity every operator estimate rests
 on.  Both suffer catastrophic cancellation when formed naively (nearly
 equal numbers for small k), so they are -(2/k^2) times sums of alpha_m
@@ -43,7 +43,7 @@ from .spectral import direct_remainder_sums, remainder_sums
 
 __all__ = [
     "dispersion_relation", "phase_speed_sq", "long_wave_curvature",
-    "long_wave_curvature_fd", "TaylorRemainders", "taylor_remainders",
+    "long_wave_curvature_fd", "t1_t2", "t1_t2_progression",
     "coefficients_from_dispersion", "estimate_sigma", "certify_type1",
     "DispersionProfile", "theta_power4_closed",
 ]
@@ -55,6 +55,7 @@ _EPS = float(np.finfo(float).eps)
 _K_MAX, _N_SAMPLES = 4.0 * math.pi, 4096
 _K_STAR_CANDIDATES = (0.5, 1.0, 1.5, 2.0)  # k* values certify_type1 tries, in order
 _MU_SAFETY = 1.2  # factor on the sampled mu* of condition (iii)
+_TARGET_TOL = 1e-8  # relative theta(0) a coefficients_from_dispersion target may have
 
 
 def dispersion_relation(model, k):
@@ -70,12 +71,12 @@ def phase_speed_sq(model, k):
     """lambda(k) = c0^2 + t1(k) over the full series; lambda(0) = c0^2.
 
     Even in k; a float for scalar k.  Terms past m_eff follow the tail model
-    of ``TaylorRemainders``.  The cost grows with the explicit rows
-    of ``TaylorRemainders``, m_eff(min |k|) = ceil(8 / min |k|) for the
+    of ``t1_t2``.  The cost grows with its explicit rows,
+    m_eff(min |k|) = ceil(8 / min |k|) for the
     power law (capped at ``_M_EXT_CAP``), M for a table.
     """
     k = np.asarray(k, dtype=float)
-    lam = model.sum_alpha_m2 + taylor_remainders(model).t1(k)
+    lam = model.sum_alpha_m2 + t1_t2(model, k)[0]
     return float(lam[0]) if k.ndim == 0 else lam
 
 
@@ -83,7 +84,7 @@ def _phase_speed_grid(model, k_max, n):
     """k = linspace(0, k_max, n + 1) and lambda = c0^2 + t1 on it, from one
     ``t1_t2_progression`` at dk = k_max / n (linspace's k_j = j dk, apart
     from the last sample, which linspace sets to k_max)."""
-    t1, _ = taylor_remainders(model).t1_t2_progression(k_max / n, n + 1)
+    t1, _ = t1_t2_progression(model, k_max / n, n + 1)
     return np.linspace(0.0, k_max, n + 1), model.sum_alpha_m2 + t1
 
 
@@ -98,13 +99,11 @@ def long_wave_curvature_fd(model, h=1e-4):
     coefficient arrays do not bias the stencil; the residual error is the
     intrinsic O(h^sigma) of differencing a function whose second derivative
     is only Holder continuous (power-law family with a < 5)."""
-    tr = taylor_remainders(model)
-    return 2.0 * float(tr.t1(np.array([h]))[0]) / h ** 2
+    return 2.0 * float(t1_t2(model, h)[0][0]) / h ** 2
 
 
-@dataclass(frozen=True)
-class TaylorRemainders:
-    """Cancellation-free Taylor remainders of the phase speed at k = 0.
+def t1_t2(model, k):
+    """Cancellation-free Taylor remainders of the phase speed at k = 0:
 
     t1(k) = lambda(k) - lambda(0)
     t2(k) = lambda(k) - lambda(0) - lambda''(0) k^2 / 2
@@ -118,67 +117,54 @@ class TaylorRemainders:
     adding back k^2/12 times the tail of sum alpha_m m^4 so the exact
     curvature is subtracted.  For the power-law family the explicit sum is
     extended adaptively until every requested k sits in the oscillatory
-    regime of the tail.  ``t1_t2_progression`` gives the same values on
-    k_j = j dk.
+    regime of the tail.  Both come from one pass over the m-sums; arrays
+    of the shape of ``atleast_1d(k)``.
     """
-
-    model: object = field(repr=False)
-
-    def t1(self, k):
-        return self.t1_t2(k)[0]
-
-    def t2(self, k):
-        return self.t1_t2(k)[1]
-
-    def t1_t2(self, k):
-        """Both remainders at k from one pass over the m-sums."""
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        out1, out2 = np.zeros_like(k), np.zeros_like(k)
-        nz = k != 0.0
-        if np.any(nz):
-            m_eff = self._m_eff(np.min(np.abs(k[nz])))
-            alpha = self.model.alpha_of(np.arange(1, m_eff + 1, dtype=float))
-            r = direct_remainder_sums(alpha, 1, np.abs(k[nz]), "cos", (2, 3))
-            out1[nz], out2[nz] = self._assemble(k[nz], m_eff, r)
-        return out1, out2
-
-    def t1_t2_progression(self, dk, n):
-        """``t1_t2`` at k_j = j dk, j < n, dk > 0, with m_eff and the tail
-        terms of ``t1_t2`` on the whole array (set by k_1 = dk) and the
-        sums of R_2, R_3 from one ``remainder_sums``."""
-        m_eff = self._m_eff(dk)
-        alpha = self.model.alpha_of(np.arange(1, m_eff + 1, dtype=float))
-        r = remainder_sums(alpha, 1, dk, n, "cos", (2, 3))
-        out1, out2 = np.zeros(n), np.zeros(n)
-        out1[1:], out2[1:] = self._assemble(dk * np.arange(1, n), m_eff, r[:, 1:])
-        return out1, out2
-
-    def _m_eff(self, k_min):
-        """Explicit rows: M, or for the power law enough that every
-        |k| >= k_min has m_eff |k| >= 8 (capped at _M_EXT_CAP)."""
-        model = self.model
-        if not model.infinite_range:
-            return model.M
-        return int(min(max(model.M, math.ceil(8.0 / k_min)), _M_EXT_CAP))
-
-    def _assemble(self, kk, m_eff, r):
-        """t1, t2 at kk != 0 from the sums ``r`` of alpha_m (R_2, R_3)(m kk)
-        over m <= m_eff, plus the full-series terms beyond m_eff."""
-        t1, t2 = -2.0 * r / kk ** 2
-        tail2, tail4 = self.model.alpha_tail(2, m_eff), self.model.alpha_tail(4, m_eff)
-        osc = np.abs(kk) * m_eff >= 4.0
-        # oscillatory regime: tail rows average to -1 (+ y^2/12 for t2); else
-        # (only under the extension cap) the tail's quadratic approximation
-        t1 += np.where(osc, -tail2, -kk * kk * tail4 / 12.0)
-        t2 += np.where(osc, -tail2 + kk * kk * tail4 / 12.0, 0.0)
-        return t1, t2
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    out1, out2 = np.zeros_like(k), np.zeros_like(k)
+    nz = k != 0.0
+    if np.any(nz):
+        m_eff = _m_eff(model, np.min(np.abs(k[nz])))
+        alpha = model.alpha_of(np.arange(1, m_eff + 1, dtype=float))
+        r = direct_remainder_sums(alpha, 1, np.abs(k[nz]), "cos", (2, 3))
+        out1[nz], out2[nz] = _assemble(model, k[nz], m_eff, r)
+    return out1, out2
 
 
-def taylor_remainders(model):
-    return TaylorRemainders(model=model)
+def t1_t2_progression(model, dk, n):
+    """``t1_t2`` at k_j = j dk, j < n, dk > 0, with m_eff and the tail
+    terms of ``t1_t2`` on the whole array (set by k_1 = dk) and the
+    sums of R_2, R_3 from one ``remainder_sums``."""
+    m_eff = _m_eff(model, dk)
+    alpha = model.alpha_of(np.arange(1, m_eff + 1, dtype=float))
+    r = remainder_sums(alpha, 1, dk, n, "cos", (2, 3))
+    out1, out2 = np.zeros(n), np.zeros(n)
+    out1[1:], out2[1:] = _assemble(model, dk * np.arange(1, n), m_eff, r[:, 1:])
+    return out1, out2
 
 
-def coefficients_from_dispersion(samples, m_out, tol=1e-8):
+def _m_eff(model, k_min):
+    """Explicit rows: M, or for the power law enough that every
+    |k| >= k_min has m_eff |k| >= 8 (capped at _M_EXT_CAP)."""
+    if not model.infinite_range:
+        return model.M
+    return int(min(max(model.M, math.ceil(8.0 / k_min)), _M_EXT_CAP))
+
+
+def _assemble(model, kk, m_eff, r):
+    """t1, t2 at kk != 0 from the sums ``r`` of alpha_m (R_2, R_3)(m kk)
+    over m <= m_eff, plus the full-series terms beyond m_eff."""
+    t1, t2 = -2.0 * r / kk ** 2
+    tail2, tail4 = model.alpha_tail(2, m_eff), model.alpha_tail(4, m_eff)
+    osc = np.abs(kk) * m_eff >= 4.0
+    # oscillatory regime: tail rows average to -1 (+ y^2/12 for t2); else
+    # (only under the extension cap) the tail's quadratic approximation
+    t1 += np.where(osc, -tail2, -kk * kk * tail4 / 12.0)
+    t2 += np.where(osc, -tail2 + kk * kk * tail4 / 12.0, 0.0)
+    return t1, t2
+
+
+def coefficients_from_dispersion(samples, m_out):
     """Recover coupling coefficients alpha_m from a sampled dispersion curve.
 
     Any piecewise-C1, even, 2pi-periodic target with theta(0) = 0 is the
@@ -187,19 +173,20 @@ def coefficients_from_dispersion(samples, m_out, tol=1e-8):
     and alpha_m = -b_m / 2 reproduces theta via the half-angle identity.
 
     ``samples`` must be equispaced on [0, 2pi) with at least 2*m_out + 2
-    points.  Raises DomainError if theta(0) deviates from 0 beyond ``tol``
-    (relative to the sample scale) or the samples are not even.
+    points.  Raises DomainError if theta(0) deviates from 0 beyond
+    ``_TARGET_TOL`` (relative to the sample scale) or the samples are not
+    even beyond its square root.
     """
     samples = np.asarray(samples, dtype=float)
     n = samples.size
     if n < 2 * m_out + 2:
         raise DomainError(f"need >= {2 * m_out + 2} samples for m_out={m_out}")
     scale = max(float(np.max(np.abs(samples))), 1e-300)
-    if abs(samples[0]) > tol * scale:
+    if abs(samples[0]) > _TARGET_TOL * scale:
         raise DomainError(
             f"invalid target: theta(0) = {samples[0]:.3e} exceeds tolerance"
         )
-    if np.max(np.abs(samples[1:] - samples[:0:-1])) > math.sqrt(tol) * scale:
+    if np.max(np.abs(samples[1:] - samples[:0:-1])) > math.sqrt(_TARGET_TOL) * scale:
         raise DomainError("invalid target: samples are not even about k = 0")
     coeffs = np.fft.rfft(samples)
     b = 2.0 * coeffs.real / n
@@ -220,14 +207,14 @@ def estimate_sigma(model, k_range, n=40):
         raise DomainError(f"bad fit range {k_range}")
     if n < 20:
         raise DomainError("need at least 20 fit points")
-    fit = _fit_exponent(taylor_remainders(model), lo, hi, n)
+    fit = _fit_exponent(model, lo, hi, n)
     return 2.0 if fit is None else float(min(2.0, max(fit, 1e-2)))
 
 
-def _fit_exponent(tr, lo, hi, n):
+def _fit_exponent(model, lo, hi, n):
     """Unclamped fit of estimate_sigma; None when every |t2| <= 1e-14."""
     ks = np.geomspace(lo, hi, n)
-    t2 = np.abs(tr.t2(ks))
+    t2 = np.abs(t1_t2(model, ks)[1])
     good = t2 > 1e-14
     if not np.any(good):
         return None
@@ -340,13 +327,12 @@ def certify_type1(model):
              f"{_N_SAMPLES} samples up to k_max={_K_MAX:.6g}; oscillation "
              "between samples is not excluded"]
 
-    tr = taylor_remainders(model)
     k_star = mu_star = mu_quad = 0.0
     sigma_fit = sigma = 2.0
     cond3 = False
     if cond2:
         for cand in _K_STAR_CANDIDATES:
-            fit = _fit_exponent(tr, cand / 50.0, cand, 48)
+            fit = _fit_exponent(model, cand / 50.0, cand, 48)
             if fit is None:
                 sigma_fit, s_cert = 2.0, 2.0
                 notes.append("t2 below 1e-14 on fit range: analytic to "
@@ -355,7 +341,7 @@ def certify_type1(model):
                 sigma_fit = fit
                 s_cert = min(2.0, max(math.floor(sigma_fit * 100.0) / 100.0, 0.01))
             kd = np.linspace(cand / 400.0, cand, 400)
-            t1d, t2d = tr.t1_t2(kd)
+            t1d, t2d = t1_t2(model, kd)
             t2d = np.abs(t2d)
             mu2 = _MU_SAFETY * float(np.max(t2d / np.abs(kd) ** (2.0 + s_cert)))
             muq = float(np.min(-t1d / kd ** 2))
@@ -372,7 +358,7 @@ def certify_type1(model):
         outside = lam[kk >= k_star]
         sup_outside = float(np.max(outside)) if outside.size else -math.inf
         sup_outside_bound = _sup_enclosure(model, kk, lam, k_star,
-                                           tr._m_eff(_K_MAX / _N_SAMPLES))
+                                           _m_eff(model, _K_MAX / _N_SAMPLES))
         cond4 = bool(sup_outside_bound < c0_sq)
         if cond4:
             notes[0] = ("condition (iii) is checked on 400 samples of "

@@ -97,7 +97,7 @@ the digits lost to cancellation at small t stay below rounding of P.
 import numpy as np
 
 from .catalog import b_coefficient
-from .dispersion import long_wave_curvature, taylor_remainders
+from .dispersion import long_wave_curvature, t1_t2_progression
 from .errors import CertificationError, ConfigError, DomainError, SolverError
 from .spectral import Field, apply_multiplier, remainder_sums, trig_remainder
 
@@ -230,7 +230,7 @@ class LongWaveOperators:
     one by one up to M.  The linear multipliers always use the
     model's full coefficient table plus certified tail corrections, evaluated on the
     grid's progression eps k_j = j eps pi / L by
-    ``TaylorRemainders.t1_t2_progression`` (``spectral.remainder_sums``).
+    ``dispersion.t1_t2_progression`` (``spectral.remainder_sums``).
     eps must lie in (0, 0.5].
     """
 
@@ -261,7 +261,7 @@ class LongWaveOperators:
         k, dt = grid.k, self.eps * np.pi / grid.L  # eps k_j = j dt
         half = 0.5 * abs(self.lambda_dd0)
         self._mult_b0 = half * (1.0 + k * k)
-        t1, t2 = taylor_remainders(model).t1_t2_progression(dt, k.size)
+        t1, t2 = t1_t2_progression(model, dt, k.size)
         self._mult_b = half - t1 / self.eps ** 2
         self._mult_bdiff = -t2 / self.eps ** 2
         lo_bound = half * (1.0 - 1e-6)
@@ -330,9 +330,6 @@ class LongWaveOperators:
 
     def linear_limit(self, field):
         return self._multiply(self._mult_b0, field)
-
-    def linear_limit_inv(self, field):
-        return self._multiply(1.0 / self._mult_b0, field)
 
     def linear_diff(self, field):
         """(B_eps - B_0) applied through its own cancellation-free symbol."""

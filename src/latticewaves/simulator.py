@@ -67,12 +67,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .spectral import (antiderivative_mean_free, evaluate, evaluate_uniform,
-                       mean_value)
+from .spectral import antiderivative_mean_free, evaluate_uniform, mean_value
 
 __all__ = ["LatticeState", "init_from_wave", "force", "nonlinear_force",
            "step_verlet", "step_split", "total_energy", "run_and_verify",
            "VerificationReport"]
+
+# VerificationReport.passed: relative speed error, shape error, energy drift
+_SPEED_TOL, _SHAPE_TOL, _DRIFT_TOL = 0.01, 0.05, 1e-6
 
 
 @dataclass
@@ -147,7 +149,7 @@ def init_from_wave(sol, J, j_c=None, m_force=None):
     u_vals = np.zeros(J)
     u_vals[inside] = w_mean * xi[inside] + evaluate_uniform(
         u_per, xi[first], eps, count)
-    plateau = float(evaluate(u_per, np.array([grid.L]))[0])
+    plateau = float(u_per.values[0])  # U at x = L: u_per is 2L-periodic
     u_vals[~inside] = np.sign(xi[~inside]) * w_mean * grid.L + plateau
 
     ramp = total * np.arange(J, dtype=float) / J
@@ -454,10 +456,10 @@ class VerificationReport:
     integrator: str         # "strang": kicks by F_nl around the exact linear flow
     omega_max_dt: float     # max_kappa sqrt(theta_mf) * dt, at most pi/2
 
-    def passed(self, speed_tol=0.01, shape_tol=0.05, drift_tol=1e-6):
-        return (self.speed_rel_error <= speed_tol
-                and self.shape_error_max <= shape_tol
-                and self.energy_drift <= drift_tol)
+    def passed(self):
+        return (self.speed_rel_error <= _SPEED_TOL
+                and self.shape_error_max <= _SHAPE_TOL
+                and self.energy_drift <= _DRIFT_TOL)
 
     def to_dict(self):
         """Every field but ``trajectory``, which goes to its own CSV."""
@@ -495,7 +497,7 @@ def run_and_verify(sol, J, T, dt=None, j_c=None, m_force=None,
             f"dt={dt} breaks the stability bound omega_max*dt <= pi/2: "
             f"omega_max={omega_max:.6g}, omega_max*dt={omega_max * dt:.6g}, "
             f"so dt <= {0.5 * math.pi / omega_max:.6g}")
-    sign = math.copysign(1.0, -1.5 * ctx.lambda_dd0 / (2.0 * ctx.b))
+    sign = math.copysign(1.0, mean_value(ctx.background))  # of the W0 amplitude
     guard = int(0.5 * ctx.grid.L / sol.eps)
 
     r0 = state.strain()

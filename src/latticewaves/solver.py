@@ -38,24 +38,12 @@ from .operators import LongWaveOperators
 from .spectral import Field, sobolev_norm
 
 __all__ = [
-    "WaveSolution", "kdv_profile", "wave_speed_sq", "residual",
+    "WaveSolution", "residual",
     "solve_contraction", "solve_petviashvili", "scaling_sweep", "SweepReport",
 ]
 
 _ANDERSON_DEPTH = 5  # residual differences the contraction mixes over
-
-
-def kdv_profile(ctx):
-    """Leading-order profile W0 on the context grid."""
-    return ctx.background
-
-
-def wave_speed_sq(ctx):
-    """Squared wave speed c_eps^2 = c0^2 - lambda''(0) eps^2 / 2.
-
-    The sign of the eps^2 shift is tied to lambda''(0) < 0: only then is the
-    wave supersonic and the limit equation homoclinic."""
-    return ctx.speed_sq
+_PETVIASHVILI_MAX_ITER = 500  # oracle steps before it reports non-convergence
 
 
 def residual(ctx, W):
@@ -194,22 +182,23 @@ def solve_contraction(ctx, tol=1e-12, max_iter=50):
     )
 
 
-def solve_petviashvili(ctx, tol=1e-12, max_iter=500):
+def solve_petviashvili(ctx, tol=1e-12):
     """Stabilized fixed-point iteration on the full equation (oracle).
 
     W_{n+1} = S_n^2 B^-1 [Q(W_n, W_n) + eps^2 P(W_n)] with the standard
     stabilizing ratio S_n = <W, B W> / <W, Q + eps^2 P>; exponent 2 is the
     optimal choice for a quadratic-dominant nonlinearity and the eps^2 cubic
     perturbation leaves convergence intact in practice.  Seeded with W0;
-    converged when |S - 1| and the increment both drop below ``tol``.
-    Non-positive stabilizer or divergence raises SolverError (an oracle
-    failure is reported, never papered over).
+    converged when |S - 1| and the increment both drop below ``tol``
+    within ``_PETVIASHVILI_MAX_ITER`` steps.  Non-positive stabilizer or
+    divergence raises SolverError (an oracle failure is reported, never
+    papered over).
     """
     grid = ctx.grid
     dx = grid.dx
     W = ctx.background
     w0_norm = sobolev_norm(W, 1.0)
-    for n in range(1, max_iter + 1):
+    for n in range(1, _PETVIASHVILI_MAX_ITER + 1):
         K = ctx.quadratic(W, W) + ctx.eps ** 2 * ctx.cubic(W)
         num = dx * float(np.dot(W.values, ctx.linear(W).values))
         den = dx * float(np.dot(W.values, K.values))
@@ -226,7 +215,7 @@ def solve_petviashvili(ctx, tol=1e-12, max_iter=500):
             V = ctx.eps ** (-ctx.sigma) * (W - ctx.background)
             return _package(ctx, V, n, "petviashvili")
     raise SolverError(
-        f"petviashvili did not converge in {max_iter} iterations")
+        f"petviashvili did not converge in {_PETVIASHVILI_MAX_ITER} iterations")
 
 
 @dataclass(frozen=True)

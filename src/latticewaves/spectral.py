@@ -24,15 +24,14 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-_DROP_BELOW = 1e-17  # relative spectral magnitude ``evaluate`` skips
 _BLOCK = 65_536      # elements per (range x point) block of a direct remainder sum
 _SERIES_TERMS = 14   # terms of a Taylor remainder's series below y = 2
 
 __all__ = [
     "Grid", "Field", "apply_multiplier", "sobolev_norm", "project_even",
-    "derivative", "mean_value", "antiderivative_mean_free", "evaluate",
+    "derivative", "mean_value", "antiderivative_mean_free",
     "evaluate_uniform", "chirp_sum", "trig_remainder", "remainder_sums",
-    "direct_remainder_sums", "field_to_csv", "spectrum_to_csv",
+    "direct_remainder_sums", "field_to_csv",
 ]
 
 
@@ -73,14 +72,13 @@ class Grid:
 class Field:
     """A real function sampled on a grid; values are immutable.
 
-    The ``even`` keyword is accepted and ignored: parity is a property of
-    the values (``is_even``), and the operator context works on the even
-    part of whatever it is given.
+    Parity is a property of the values (``is_even``); the operator context
+    works on the even part of whatever it is given.
     """
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid, values, even=None):
+    def __init__(self, grid, values):
         values = np.asarray(values, dtype=float)
         if values.shape != (grid.N,):
             raise ConfigError(f"field shape {values.shape} != grid size ({grid.N},)")
@@ -95,7 +93,7 @@ class Field:
         raise AttributeError("Field is immutable")
 
     @classmethod
-    def from_function(cls, grid, fn, even=None):
+    def from_function(cls, grid, fn):
         return cls(grid, fn(grid.x))
 
     @classmethod
@@ -196,33 +194,13 @@ def antiderivative_mean_free(field):
     return Field(field.grid, out)
 
 
-def evaluate(field, x_out):
-    """Evaluate the trigonometric interpolant of F at arbitrary points.
-
-    Exact for band-limited data; modes with relative magnitude below
-    ``_DROP_BELOW`` are skipped (profile spectra decay to machine zero well
-    before the Nyquist bin, so this cuts the cost by ~3x).
-    """
-    grid = field.grid
-    coeffs = np.fft.rfft(field.values) / grid.N
-    scale = np.max(np.abs(coeffs))
-    keep = np.nonzero(np.abs(coeffs) > _DROP_BELOW * max(scale, 1e-300))[0]
-    x_out = np.atleast_1d(np.asarray(x_out, dtype=float))
-    # series in exp(i k (x + L)); the grid starts at x = -L
-    phase = np.exp(1j * np.outer(x_out + grid.L, grid.k[keep]))
-    w = np.full(grid.N // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    out = phase @ (w[keep] * coeffs[keep])
-    return out.real
-
-
 def evaluate_uniform(field, x0, dx, n):
-    """``evaluate`` at the n equispaced points x0 + t dx, t < n.
+    """The trigonometric interpolant of F at the n equispaced points
+    x0 + t dx, t < n; exact for band-limited data.
 
     k_j (x + L) = j pi (x0 + L) / L + j t pi dx / L, so the interpolant on
     these points is one ``chirp_sum`` over every mode, O((N + n) log) work
-    in place of the n x N/2 exponentials of ``evaluate``.
+    in place of n x N/2 exponentials.
     """
     grid = field.grid
     coeffs = np.fft.rfft(field.values) / grid.N
@@ -404,13 +382,3 @@ def field_to_csv(field, path, header=""):
         fh.write("x,value\n")
         for x, v in zip(field.grid.x, field.values):
             fh.write(f"{x:.17g},{v:.17g}\n")
-
-
-def spectrum_to_csv(field, path, header=""):
-    coeffs = field.spectrum()
-    with open(path, "w") as fh:
-        if header:
-            fh.write(header if header.endswith("\n") else header + "\n")
-        fh.write("k,re,im\n")
-        for k, c in zip(field.grid.k, coeffs):
-            fh.write(f"{k:.17g},{c.real:.17g},{c.imag:.17g}\n")

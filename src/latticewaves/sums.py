@@ -65,12 +65,6 @@ def power_tail(p, m_last):
     return value
 
 
-def power_sum(p, m_head=64):
-    """Full sum ``sum_{m >= 1} m^(-p)`` (i.e. zeta(p)) with explicit head."""
-    head = np.sum(np.arange(1, m_head + 1, dtype=float) ** (-p))
-    return float(head + power_tail(p, m_head))
-
-
 def zeta(s):
     """Riemann zeta function for real ``s > 1``.
 
@@ -82,7 +76,8 @@ def zeta(s):
     s = float(s)
     if s <= 1.0:
         raise DomainError(f"zeta(s) requires s > 1, got s={s}")
-    return power_sum(s)
+    head = np.sum(np.arange(1, 65, dtype=float) ** (-s))
+    return float(head + power_tail(s, 64))
 
 
 def integral_tail_bound(p, m_last):

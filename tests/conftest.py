@@ -73,8 +73,7 @@ def sol_nnn1(ctx_nnn1):
 
 @pytest.fixture(scope="session")
 def sech2(grid):
-    return lw.Field.from_function(grid, lambda x: 1.0 / np.cosh(0.5 * x) ** 2,
-                                  even=True)
+    return lw.Field.from_function(grid, lambda x: 1.0 / np.cosh(0.5 * x) ** 2)
 
 
 @pytest.fixture()
@@ -90,3 +89,15 @@ def random_band_limited(grid, rng, modes=60, even=False):
     vals = np.fft.irfft(coeffs, n=grid.N)
     f = lw.Field(grid, vals / max(np.max(np.abs(vals)), 1e-30))
     return lw.project_even(f) if even else f
+
+
+def evaluate_dense(field, x_out):
+    """Trigonometric interpolant of F at arbitrary points, one exponential
+    per (point, mode): the reference ``spectral.evaluate_uniform`` is
+    checked against."""
+    grid = field.grid
+    coeffs = np.fft.rfft(field.values) / grid.N
+    coeffs[1:-1] *= 2.0
+    x_out = np.atleast_1d(np.asarray(x_out, dtype=float))
+    # series in exp(i k (x + L)); the grid starts at x = -L
+    return (np.exp(1j * np.outer(x_out + grid.L, grid.k)) @ coeffs).real

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import latticewaves as lw
-from latticewaves.dispersion import _phase_speed_grid, taylor_remainders
+from latticewaves.dispersion import _phase_speed_grid, t1_t2, t1_t2_progression
 
 # the built-in families with a type I certificate; the first four are
 # conftest fixtures
@@ -165,9 +165,8 @@ class TestCurvature:
 
 class TestTaylorRemainders:
     def test_t2_even_and_zero_at_origin(self, cm35):
-        tr = taylor_remainders(cm35)
         k = np.array([0.0, 0.3, -0.3, 1.7, -1.7])
-        t2 = tr.t2(k)
+        t2 = t1_t2(cm35, k)[1]
         assert t2[0] == 0.0
         assert t2[1] == pytest.approx(t2[2], rel=1e-12)
         assert t2[3] == pytest.approx(t2[4], rel=1e-12)
@@ -175,12 +174,11 @@ class TestTaylorRemainders:
     def test_matches_direct_formula_at_moderate_k(self, nnn1, cm4):
         # T2 = lambda - lambda(0) - lambda''(0) k^2/2, formed naively, is
         # accurate enough at k ~ 1 to validate the series evaluation
-        tr_n = taylor_remainders(nnn1)
-        for model, tr in ((nnn1, tr_n), (cm4, taylor_remainders(cm4))):
+        for model in (nnn1, cm4):
             for k in (0.7, 1.3, 2.1):
                 direct = (lw.phase_speed_sq(model, k) - model.sum_alpha_m2
                           - 0.5 * lw.long_wave_curvature(model) * k ** 2)
-                assert tr.t2(np.array([k]))[0] == pytest.approx(direct, rel=1e-7, abs=1e-9)
+                assert t1_t2(model, k)[1][0] == pytest.approx(direct, rel=1e-7, abs=1e-9)
 
     @pytest.mark.parametrize("name, k", [
         ("cm6", 2e-3), ("cm6", 0.3), ("cm6", 2.5),
@@ -189,9 +187,8 @@ class TestTaylorRemainders:
     ])
     def test_against_mpmath(self, request, name, k):
         model = request.getfixturevalue(name)
-        tr = taylor_remainders(model)
-        t1, t2 = tr.t1_t2(np.array([k]))
-        assert (t1[0], t2[0]) == (tr.t1(k)[0], tr.t2(k)[0])
+        t1, t2 = t1_t2(model, np.array([k]))
+        assert (t1[0], t2[0]) == tuple(r[0] for r in t1_t2(model, k))
         m_eff = model.M
         if model.infinite_range:
             m_eff = max(model.M, math.ceil(8.0 / k))
@@ -208,7 +205,7 @@ class TestTaylorRemainders:
         # every m misses t2 here by 3-6e-12 (rows with mk < 2), and an
         # m_eff set by a later point instead of k_1 = dk misses by 1e-12
         dk = 0.2 * math.pi / 40.0
-        t1, t2 = taylor_remainders(cm6).t1_t2_progression(dk, 1025)
+        t1, t2 = t1_t2_progression(cm6, dk, 1025)
         ref1, ref2 = _mpmath_t1_t2(cm6, j * dk, math.ceil(8.0 / dk))
         assert t1[j] == pytest.approx(ref1, rel=1e-13, abs=0.0)
         assert t2[j] == pytest.approx(ref2, rel=1e-13, abs=0.0)
@@ -223,9 +220,8 @@ class TestTaylorRemainders:
         model = lw.build_model(lw.PotentialSpec.custom(
             m ** -power, np.zeros(M), None))
         dk = eps * math.pi / 40.0
-        tr = taylor_remainders(model)
-        got = tr.t1_t2_progression(dk, 1025)
-        ref = tr.t1_t2(dk * np.arange(1025))
+        got = t1_t2_progression(model, dk, 1025)
+        ref = t1_t2(model, dk * np.arange(1025))
         for g, r in zip(got, ref):
             assert g[0] == r[0] == 0.0
             assert np.max(np.abs(g[1:] - r[1:]) / np.abs(r[1:])) <= 1e-13

@@ -9,7 +9,8 @@ import pytest
 import latticewaves as lw
 from latticewaves import simulator
 from latticewaves.simulator import LatticeState
-from latticewaves.spectral import evaluate, mean_value
+from latticewaves.spectral import mean_value
+from conftest import evaluate_dense
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ class TestInit:
         eps = wave_nnn.eps
         grid = wave_nnn.ctx.grid
         xi = eps * (np.arange(1024, dtype=float) - 256)
-        w_vals = np.where(np.abs(xi) < grid.L, evaluate(wave_nnn.W, xi), 0.0)
+        w_vals = np.where(np.abs(xi) < grid.L, evaluate_dense(wave_nnn.W, xi), 0.0)
         background = eps * mean_value(wave_nnn.W) * 2.0 * grid.L / 1024
         r = state_nnn.strain() + background
         wp_max = float(np.max(np.abs(np.gradient(wave_nnn.W.values, grid.dx))))
@@ -254,6 +255,17 @@ class TestRunAndVerify:
         assert rep.energy_drift < 1e-6
         assert not rep.early_stopped
         assert rep.passed()
+
+    def test_passed_flips_at_each_gate(self, wave_nnn):
+        rep = dataclasses.replace(
+            lw.run_and_verify(wave_nnn, 1024, 2.0, checkpoints=4),
+            speed_rel_error=0.0, shape_error_max=0.0, energy_drift=0.0)
+        assert rep.passed()
+        for name, gate in (("speed_rel_error", 0.01), ("shape_error_max", 0.05),
+                           ("energy_drift", 1e-6)):
+            assert dataclasses.replace(rep, **{name: gate}).passed()
+            above = math.nextafter(gate, math.inf)
+            assert not dataclasses.replace(rep, **{name: above}).passed()
 
     def test_dt_stability_guard(self, wave_nnn):
         with pytest.raises(lw.ConfigError):

@@ -30,7 +30,7 @@ def sol_cm35_04(prof_cm35, grid):
 
 class TestLeadingOrder:
     def test_amplitude_cm4(self, ctx_cm4):
-        w0 = lw.kdv_profile(ctx_cm4)
+        w0 = ctx_cm4.background
         amp = float(np.min(w0.values))
         assert amp == pytest.approx(-5.0 / (8.0 * np.pi ** 2), abs=1e-10)
 
@@ -38,23 +38,23 @@ class TestLeadingOrder:
         # the sech^2(x/2) profile solves the limit equation exactly; the
         # discrete residual is pure spectral roundoff
         for ctx in (ctx_cm4, ctx_nnn1):
-            w0 = lw.kdv_profile(ctx)
+            w0 = ctx.background
             lhs = -0.5 * ctx.lambda_dd0 * (w0 - derivative(w0, 2))
-            rhs = lw.Field(grid, ctx.b * w0.values ** 2, even=True)
+            rhs = lw.Field(grid, ctx.b * w0.values ** 2)
             assert sobolev_norm(lhs - rhs, 0.0) <= 1e-10
 
     def test_parity(self, ctx_cm4):
-        assert lw.kdv_profile(ctx_cm4).is_even(1e-14)
+        assert ctx_cm4.background.is_even(1e-14)
 
 
 class TestWaveSpeed:
     def test_cm4_value(self, ctx_cm4):
         expect = 2.0 * np.pi ** 4 / 9.0 + np.pi ** 2 / 360.0
-        assert lw.wave_speed_sq(ctx_cm4) == pytest.approx(expect, abs=1e-10)
+        assert ctx_cm4.speed_sq == pytest.approx(expect, abs=1e-10)
 
     def test_nnn_value(self, ctx_nnn1):
         expect = 5.0 + (17.0 / 12.0) * 0.01
-        assert lw.wave_speed_sq(ctx_nnn1) == pytest.approx(expect, abs=1e-12)
+        assert ctx_nnn1.speed_sq == pytest.approx(expect, abs=1e-12)
 
 
 class TestContraction:

@@ -12,9 +12,9 @@ import pytest
 import latticewaves as lw
 from latticewaves import spectral
 from latticewaves.spectral import (antiderivative_mean_free, chirp_sum,
-                                   derivative, evaluate, evaluate_uniform,
-                                   mean_value, remainder_sums, trig_remainder)
-from conftest import random_band_limited
+                                   derivative, evaluate_uniform, mean_value,
+                                   remainder_sums, trig_remainder)
+from conftest import evaluate_dense, random_band_limited
 
 
 def test_grid_validation():
@@ -145,11 +145,11 @@ def test_antiderivative_and_mean(grid, sech2):
 
 def test_evaluate_matches_grid_and_offgrid(grid, sech2):
     # exact at grid nodes, spectrally accurate between them
-    sub = grid.x[::97]
-    vals = evaluate(sech2, sub)
-    assert np.max(np.abs(vals - sech2.values[::97])) < 1e-12
+    sub = sech2.values[::97]
+    vals = evaluate_uniform(sech2, -grid.L, 97 * grid.dx, sub.size)
+    assert np.max(np.abs(vals - sub)) < 1e-12
     mid = grid.x[:50] + 0.37 * grid.dx
-    vals_mid = evaluate(sech2, mid)
+    vals_mid = evaluate_uniform(sech2, mid[0], grid.dx, 50)
     exact = 1.0 / np.cosh(0.5 * mid) ** 2
     assert np.max(np.abs(vals_mid - exact)) < 1e-10
 
@@ -162,7 +162,7 @@ def test_evaluate_uniform_matches_evaluate(grid, sech2, rng):
         scale = 2.0 * np.sum(np.abs(field.spectrum())) / grid.N
         for x0, dx, n in ((-39.93, 0.1, 799), (-7.3, grid.dx, 200),
                           (1.234, 0.0371, 1), (-40.0, 0.4 * np.sqrt(2.0), 141)):
-            ref = evaluate(field, x0 + dx * np.arange(n))
+            ref = evaluate_dense(field, x0 + dx * np.arange(n))
             out = evaluate_uniform(field, x0, dx, n)
             assert np.max(np.abs(out - ref)) <= 1e-13 * scale
 
@@ -344,12 +344,9 @@ def test_pipeline_does_not_import_scipy_signal(tmp_path):
 
 
 def test_csv_exports(tmp_path, grid, sech2):
-    from latticewaves.spectral import field_to_csv, spectrum_to_csv
+    from latticewaves.spectral import field_to_csv
     p1 = tmp_path / "f.csv"
-    p2 = tmp_path / "s.csv"
     field_to_csv(sech2, p1, header="# test")
-    spectrum_to_csv(sech2, p2)
     lines = p1.read_text().splitlines()
     assert lines[0] == "# test" and lines[1] == "x,value"
     assert len(lines) == grid.N + 2
-    assert p2.read_text().splitlines()[0] == "k,re,im"
