@@ -21,12 +21,16 @@ velocity by dt/2 F_nl, rotates each Fourier mode of (d, v) exactly at
 impulse (trigonometric) method of Hairer, Lubich & Wanner, *Geometric
 Numerical Integration* (2006), ch. XIII, also Garcia-Archilla, Sanz-Serna &
 Skeel (1999).  It is symplectic and time-reversible, exact on the linear
-part, so its step is set by the slow wave, not by the fastest phonon.  The
-default dt = 0.4/c0 keeps shape error and energy drift at or below those of
-velocity Verlet at 0.05/c0.  A step is accepted while ``omega_max dt <=
-pi/2`` with ``omega_max = max sqrt(theta_mf)``, clear of the resonances at
-multiples of pi; for alpha_m >= 0, ``omega_max <= 2 c0``.  ``step_verlet``
-stays as an independent second integrator.
+part, so its step is set by the slow wave, not by the fastest phonon.
+Between two checkpoints (d, v) stay rfft spectra: each step inverts d^
+for the force and merges its closing half kick with the next step's
+opening one into ``v^ += dt rfft(F_nl)``, so k steps cost 2k + 2 FFTs of
+length J, and v is formed only at the checkpoint.  The default dt =
+0.4/c0 keeps shape error and energy drift at or below those of velocity
+Verlet at 0.05/c0.  A step is accepted while ``omega_max dt <= pi/2`` with
+``omega_max = max sqrt(theta_mf)``, clear of the resonances at multiples of
+pi; for alpha_m >= 0, ``omega_max <= 2 c0``.  ``step_verlet`` stays as an
+independent second integrator.
 
 Periodization bookkeeping: the displacement profile of a solitary wave is a
 kink (the strain integral does not vanish), which cannot be single-valued
@@ -48,8 +52,8 @@ delta_star for every bond.  Two paths compute the same sum:
   terms below 2^-53 of the linear force).  Expanding eta^n binomially turns
   every degree into circulant convolutions on the ring, so one call costs
   2N + 1 FFTs of length J and N(N+1)/2 spectrum products, whatever m_force.
-* Direct path.  Sums g_m(d_{j+m} - d_j) - g_m(d_j - d_{j-m}) over m with
-  shifted copies, O(m_force J).  It runs for m_force <= 4, where it is the
+* Direct path.  Sums g_m(d_{j+m} - d_j) - g_m(d_j - d_{j-m}) over m on
+  slices of d extended periodically, O(m_force J).  It runs for m_force <= 4, where it is the
   faster one, for table families whose psi' is a user callable, and for
   strains so large that the series would need more than 12 terms.
 
@@ -109,7 +113,7 @@ class LatticeState:
 
     def strain(self):
         """Nearest-neighbour strain r_j = d_{j+1} - d_j."""
-        return np.roll(self.d, -1) - self.d
+        return np.diff(self.d, append=self.d[:1])
 
     def copy(self):
         return LatticeState(model=self.model, J=self.J, d=self.d.copy(),
@@ -121,7 +125,9 @@ class LatticeState:
 def init_from_wave(sol, J, j_c=None, m_force=None):
     """Sample a traveling-wave solution onto a ring of J particles.
 
-    The wave must fit with room to travel: eps * J >= 4 L.  Displacements
+    The wave must fit with room to travel: eps * J >= 4 L.  It is centred
+    on site j_c (default J // 4), and every site of its box, |eps (j - j_c)|
+    < L, must lie on the ring 0..J-1.  Displacements
     are eps * U at the scaled positions, where U is the spectral
     antiderivative of the mean-free part of W plus the explicit linear mean
     term; outside the box W is exponentially negligible and U is held at
@@ -140,12 +146,20 @@ def init_from_wave(sol, J, j_c=None, m_force=None):
         raise ConfigError(f"m_force={m_force} must be >= 1")
     m_force = int(m_force)
 
-    xi = eps * (np.arange(J, dtype=float) - float(j_c))
+    # the box |xi| < L is one run of sites, which must miss the sites -1
+    # and J either side of the ring
+    xi = eps * (np.arange(-1, J + 1, dtype=float) - float(j_c))
+    inside = np.abs(xi) < grid.L
+    if inside[0] or inside[-1] or not inside.any():
+        half = int(np.count_nonzero(eps * np.arange(1, J) < grid.L))
+        raise ConfigError(
+            f"j_c={j_c} puts sites with |eps (j - j_c)| < L={grid.L} outside "
+            f"0..{J - 1} (J={J}, eps={eps}): need {half} <= j_c <= {J - 1 - half}")
+    xi, inside = xi[1:-1], inside[1:-1]
+    first, count = int(np.argmax(inside)), int(np.count_nonzero(inside))
     w_mean = mean_value(sol.W)
     total = w_mean * 2.0 * grid.L  # integral of W over the box
     u_per = antiderivative_mean_free(sol.W)
-    inside = np.abs(xi) < grid.L  # one run of sites, xi[first] + eps t
-    first, count = int(np.argmax(inside)), int(np.count_nonzero(inside))
     u_vals = np.zeros(J)
     u_vals[inside] = w_mean * xi[inside] + evaluate_uniform(
         u_per, xi[first], eps, count)
@@ -307,14 +321,25 @@ def _fft_force(state, r, n_terms, linear):
     return out
 
 
+def _stretches(d, m_force):
+    """(m, eta_m) with eta_m[j] = d_{j+m} - d_j, indices mod J, m = 1..m_force.
+
+    Each eta_m is a slice of d repeated past index J + m_force."""
+    J = d.size
+    ext = np.concatenate([d] * (m_force // J + 2))
+    return ((m, ext[m:m + J] - d) for m in range(1, m_force + 1))
+
+
 def _direct_force(state, linear):
-    d, model = state.d, state.model
+    model, J = state.model, state.J
     term = model.force_term if linear else model.nonlinear_force_term
-    out = np.zeros(state.J)
-    for m in range(1, state.m_force + 1):
-        g = term(m, np.roll(d, -m) - d)
+    out = np.zeros(J)
+    for m, eta in _stretches(state.d, state.m_force):
+        g = term(m, eta)
         # the left-sided term g_m(d_j - d_{j-m}) is g_m evaluated at j - m
-        out += g - np.roll(g, m)
+        s = m % J
+        out[s:] += g[s:] - g[:J - s]
+        out[:s] += g[:s] - g[J - s:]
     return out
 
 
@@ -369,23 +394,33 @@ def step_verlet(state, dt):
     return state
 
 
-def step_split(state, dt):
-    """One Strang step: half kick by F_nl, exact linear flow, half kick.
+def step_split(state, dt, steps=1):
+    """``steps`` Strang steps: half kick by F_nl, exact linear flow, half kick.
 
     Second order, symplectic and time-reversible, and exact when F_nl = 0.
     The linear flow rotates each rfft mode of (d, v) at omega =
-    sqrt(theta_mf(kappa)) (``_RingKernels.rotation``).
+    sqrt(theta_mf(kappa)) (``_RingKernels.rotation``).  Between two steps
+    (d, v) stay rfft spectra: the closing half kick of one step and the
+    opening half kick of the next are one kick ``v^ += dt rfft(F_nl)``, so
+    k steps take 2k + 2 transforms of length J, not 4k.  Every step updates
+    d, t and the cached F_nl and runs every check of ``nonlinear_force``;
+    v is formed once, after the last step.
     """
+    if steps < 1:
+        raise ConfigError(f"steps={steps} must be >= 1")
     if state._accel_nl is None:
         state._accel_nl = nonlinear_force(state)
     cos, sinc, shear = _ring_multipliers(state).rotation(dt)
     d_hat = np.fft.rfft(state.d)
     v_hat = np.fft.rfft(state.v + 0.5 * dt * state._accel_nl)
-    state.d = np.fft.irfft(cos * d_hat + sinc * v_hat, n=state.J)
-    a1 = nonlinear_force(state)
-    state.v = np.fft.irfft(shear * d_hat + cos * v_hat, n=state.J) + 0.5 * dt * a1
-    state._accel_nl = a1
-    state.t += dt
+    for n in range(steps):
+        if n:
+            v_hat = v_hat + dt * np.fft.rfft(state._accel_nl)
+        d_hat, v_hat = cos * d_hat + sinc * v_hat, shear * d_hat + cos * v_hat
+        state.d = np.fft.irfft(d_hat, n=state.J)
+        state._accel_nl = nonlinear_force(state)
+        state.t += dt
+    state.v = np.fft.irfft(v_hat, n=state.J) + 0.5 * dt * state._accel_nl
     return state
 
 
@@ -400,9 +435,8 @@ def total_energy(state):
     r = state.strain()
     fit = _series_terms(state, float(np.max(np.abs(r))))
     if fit is None:
-        d = state.d
-        potential = sum(float(np.sum(state.model.pair_energy(m, np.roll(d, -m) - d)))
-                        for m in range(1, state.m_force + 1))
+        potential = sum(float(np.sum(state.model.pair_energy(m, eta)))
+                        for m, eta in _stretches(state.d, state.m_force))
         return kinetic + potential
     n_terms = fit[0]
     mult = state._ring.weights(n_terms)
@@ -479,12 +513,16 @@ def run_and_verify(sol, J, T, dt=None, j_c=None, m_force=None,
     position against time for the speed, compares the translated initial
     strain with the evolved one for the shape error, and monitors the
     relative energy drift.  Stops early with a partial report if the pulse
-    comes within 0.5 L / eps sites of the ring's seam.  Steps with
-    ``step_split``; the default dt is 0.4/c0, and dt must keep
-    ``omega_max dt <= pi/2``.
+    comes within 0.5 L / eps sites of the ring's seam; ``steps`` counts the
+    steps taken.  Checkpoints fall every ``ceil(T/dt) // checkpoints``
+    steps (at least 1) and at the last step; one ``step_split`` call
+    covers the steps between two of them.  The default dt is 0.4/c0, and
+    dt must keep ``omega_max dt <= pi/2``.
     """
     if T <= 0.0:
         raise ConfigError(f"T={T} must be > 0")
+    if checkpoints < 1:
+        raise ConfigError(f"checkpoints={checkpoints} must be >= 1")
     ctx = sol.ctx
     if dt is None:
         dt = 0.4 / math.sqrt(ctx.c0_sq)
@@ -508,7 +546,7 @@ def run_and_verify(sol, J, T, dt=None, j_c=None, m_force=None,
     pos0 = _peak_position(sign * r0)
 
     steps = int(math.ceil(T / dt))
-    every = max(1, steps // max(checkpoints, 1))
+    every = max(1, steps // checkpoints)
     times, positions = [0.0], [pos0]
     trajectory = [(0.0, pos0, float(np.max(sign * r0)), e0)]
     shape_err = 0.0
@@ -516,26 +554,28 @@ def run_and_verify(sol, J, T, dt=None, j_c=None, m_force=None,
     offset = 0.0
     prev = pos0
     early = False
-    for n in range(1, steps + 1):
-        step_split(state, dt)
-        if n % every == 0 or n == steps:
-            r = state.strain()
-            p = _peak_position(sign * r)
-            if p < prev - J / 2.0:  # wrapped around the ring
-                offset += J
-            prev = p
-            pos = p + offset
-            times.append(state.t)
-            positions.append(pos)
-            e = total_energy(state)
-            drift = max(drift, abs(e - e0) / max(abs(e0), 1e-300))
-            ref = _shifted(r0_fft, kappa, pos - pos0, J)
-            err = float(np.linalg.norm(ref - r)) / max(r0_norm, 1e-300)
-            shape_err = max(shape_err, err)
-            trajectory.append((state.t, pos, float(np.max(sign * r)), e))
-            if (pos % J) > J - guard:
-                early = True
-                break
+    taken = 0
+    while taken < steps:
+        stretch = min(every, steps - taken)
+        step_split(state, dt, stretch)
+        taken += stretch
+        r = state.strain()
+        p = _peak_position(sign * r)
+        if p < prev - J / 2.0:  # wrapped around the ring
+            offset += J
+        prev = p
+        pos = p + offset
+        times.append(state.t)
+        positions.append(pos)
+        e = total_energy(state)
+        drift = max(drift, abs(e - e0) / max(abs(e0), 1e-300))
+        ref = _shifted(r0_fft, kappa, pos - pos0, J)
+        err = float(np.linalg.norm(ref - r)) / max(r0_norm, 1e-300)
+        shape_err = max(shape_err, err)
+        trajectory.append((state.t, pos, float(np.max(sign * r)), e))
+        if (pos % J) > J - guard:
+            early = True
+            break
     fit = np.polyfit(times, positions, 1)
     speed = float(fit[0])
     c_pred = math.sqrt(sol.c_eps_sq)
@@ -543,7 +583,7 @@ def run_and_verify(sol, J, T, dt=None, j_c=None, m_force=None,
         speed_measured=speed, speed_predicted=c_pred,
         speed_rel_error=abs(speed - c_pred) / c_pred,
         shape_error_max=shape_err, energy_drift=drift,
-        T=state.t, dt=dt, J=J, m_force=state.m_force, steps=steps,
+        T=state.t, dt=dt, J=J, m_force=state.m_force, steps=taken,
         early_stopped=early, trajectory=tuple(trajectory),
         force_path="+".join(sorted(state.force_paths)),
         series_terms=state.series_terms, series_bound=state.series_bound,

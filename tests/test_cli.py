@@ -236,6 +236,7 @@ def test_bad_config_value_rejected(tmp_path, capsys, extra, words):
     ("simulate", "checkpoints = 20", "checkpoints = 20\ndt = 0", ("dt=0.0",)),
     ("solve", "eps = 0.1", "eps = 0", ("eps=0.0", "(0, 0.5]")),
     ("simulate", "eps = 0.1", "eps = 0", ("eps=0.0", "(0, 0.5]")),
+    ("simulate", "checkpoints = 20", "checkpoints = 0", ("checkpoints=0",)),
 ])
 def test_out_of_range_value_rejected(tmp_path, capsys, command, old, new, words):
     cfg = _write(tmp_path)

@@ -1,6 +1,7 @@
 """Direct lattice integration: forces, symplectic stepping, verification."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -57,6 +58,18 @@ class TestInit:
     def test_lattice_too_short(self, wave_nnn):
         with pytest.raises(lw.ConfigError):
             lw.init_from_wave(wave_nnn, 256)
+
+    @pytest.mark.parametrize("j_c", [5000, -3000, 3697])
+    def test_wave_off_the_ring_rejected(self, sol_nnn1, j_c):
+        # eps = 0.1, L = 40: the wave takes the sites |j - j_c| <= 399
+        with pytest.raises(lw.ConfigError,
+                           match=rf"j_c={j_c} .*J=4096.*399 <= j_c <= 3696"):
+            lw.init_from_wave(sol_nnn1, 4096, j_c=j_c)
+
+    def test_wave_at_the_ring_edge_accepted(self, sol_nnn1):
+        st = lw.init_from_wave(sol_nnn1, 4096, j_c=3696)
+        ref = lw.init_from_wave(sol_nnn1, 4096, j_c=1024)
+        assert np.array_equal(np.roll(st.v, 1024 - 3696), ref.v)
 
     def test_seam_jump_recorded(self, wave_nnn, state_nnn):
         total = mean_value(wave_nnn.W) * 2.0 * wave_nnn.ctx.grid.L
@@ -118,7 +131,8 @@ class TestForce:
 
 
 STEPPERS = [pytest.param(lw.step_verlet, id="step_verlet"),
-            pytest.param(lw.step_split, id="step_split")]
+            pytest.param(lw.step_split, id="step_split"),
+            pytest.param(functools.partial(lw.step_split, steps=3), id="step_split_3")]
 
 
 class TestVerlet:
@@ -195,6 +209,53 @@ class TestSplit:
         assert np.max(np.abs(st.d - d_ref)) <= 1e-12
         assert np.max(np.abs(st.v - v_ref)) <= 1e-12
 
+    @pytest.mark.parametrize("k", [1, 7, 23])
+    @pytest.mark.parametrize("wave, m_force, path", [
+        ("wave_nnn", 2, "direct"), ("wave_cm4_02", 16, "fft")])
+    def test_steps_match_single_steps(self, request, wave, m_force, path, k):
+        # one call of k steps keeps (d, v) as spectra between the steps
+        sol = request.getfixturevalue(wave)
+        dt = 0.4 / math.sqrt(sol.ctx.c0_sq)
+        one = lw.init_from_wave(sol, 1024, m_force=m_force)
+        many = one.copy()
+        lw.step_split(one, dt, k)
+        for _ in range(k):
+            lw.step_split(many, dt)
+        assert one.force_paths == many.force_paths == {path}
+        for name in ("d", "v"):
+            a, b = getattr(one, name), getattr(many, name)
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+        assert one.t == many.t
+        # the cache is F_nl at the returned d.  F_nl is a second difference
+        # of d, which magnifies the rounding of d: measured up to 1.0e-13
+        # (nnn) and 6.8e-13 (cm4) relative to max |F_nl| at k <= 23
+        assert np.array_equal(one._accel_nl, lw.nonlinear_force(one.copy()))
+        diff = np.max(np.abs(one._accel_nl - many._accel_nl))
+        assert diff <= 2e-12 * np.max(np.abs(many._accel_nl))
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_transform_count(self, state_nnn, monkeypatch, k):
+        # k steps on the direct path: rfft(d), rfft(v), then per step one
+        # irfft(d^) and, between steps, one rfft(F_nl), and irfft(v^) last
+        st = state_nnn.copy()
+        dt = 0.4 / math.sqrt(st.model.sum_alpha_m2)
+        lw.step_split(st, dt)  # builds the ring multipliers
+        calls = []
+        for name in ("rfft", "irfft"):
+            def counted(*args, _fn=getattr(np.fft, name), **kw):
+                calls.append(_fn)
+                return _fn(*args, **kw)
+            monkeypatch.setattr(simulator.np.fft, name, counted)
+        lw.step_split(st, dt, k)
+        assert st.force_paths == {"direct"}
+        assert len(calls) == 2 * k + 2
+
+    def test_steps_below_one_rejected(self, state_nnn):
+        st = state_nnn.copy()
+        with pytest.raises(lw.ConfigError, match="steps=0"):
+            lw.step_split(st, 0.1, 0)
+        assert np.array_equal(st.v, state_nnn.v) and st.t == state_nnn.t
+
     def test_agrees_with_fine_verlet(self, wave_nnn):
         # planted wave, T = 20: the split at its default step against Verlet
         # at 0.0125/c0.  Measured 9.1e-6 (strain) and 8.1e-6 (velocity);
@@ -255,6 +316,8 @@ class TestRunAndVerify:
         assert rep.energy_drift < 1e-6
         assert not rep.early_stopped
         assert rep.passed()
+        assert rep.steps == math.ceil(20.0 / rep.dt)
+        assert rep.steps * rep.dt == pytest.approx(rep.T, rel=1e-12)
 
     def test_passed_flips_at_each_gate(self, wave_nnn):
         rep = dataclasses.replace(
@@ -295,6 +358,13 @@ class TestRunAndVerify:
         rep = lw.run_and_verify(wave_nnn, 1024, 400.0, checkpoints=400)
         assert rep.early_stopped
         assert rep.T < 400.0
+        # the steps taken, not the steps planned
+        assert rep.steps * rep.dt == pytest.approx(rep.T, rel=1e-12)
+
+    @pytest.mark.parametrize("checkpoints", [0, -5])
+    def test_checkpoints_below_one_rejected(self, wave_nnn, checkpoints):
+        with pytest.raises(lw.ConfigError, match=rf"checkpoints={checkpoints} "):
+            lw.run_and_verify(wave_nnn, 1024, 2.0, checkpoints=checkpoints)
 
     def test_trajectory_rows(self, wave_nnn):
         rep = lw.run_and_verify(wave_nnn, 1024, 10.0, checkpoints=10)
