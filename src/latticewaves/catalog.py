@@ -7,7 +7,9 @@ expands as::
     Phi_m'(r* m + eta) = varsigma_m + alpha_m eta + beta_m eta^2 + psi_m'(eta)
 
 with a cubic-order remainder ``|psi_m'(eta)| <= gamma_m |eta|^3`` and
-``|psi_m''(eta)| <= 3 gamma_m eta^2`` valid on ``|eta| <= m delta*``.  A
+``|psi_m''(eta)| <= 3 gamma_m eta^2`` valid on ``|eta| <= m delta*``.  The
+constant varsigma_m cancels from the force and, since sum_j varsigma_m
+(d_{j+m} - d_j) = 0 on a ring, from the energy; a table leaves it at 0.  A
 ``LatticeModel`` stores the coefficient arrays up to a certified truncation
 length together with Euler-Maclaurin-corrected values of the slowly
 convergent scalar sums that the dispersion analysis and the solvers consume.
@@ -72,14 +74,11 @@ class PotentialSpec:
 
     family: str
     a: float | None = None
-    g: float | None = None
     alpha: tuple = ()
     beta: tuple = ()
     gamma: tuple = ()
-    varsigma: tuple = ()
     psi_prime: tuple = ()
     psi_second: tuple = ()
-    r_star: float = 0.0
     delta_star: float = 1.0
     tail_alpha_m2: float = 0.0
     tail_beta_m5: float = 0.0
@@ -106,61 +105,53 @@ class PotentialSpec:
             )
         if delta_star is None:
             delta_star = 1.0 - 6.0 ** (-1.0 / (a + 4.0))
-        return cls(family="calogero_moser", a=float(a), r_star=1.0,
+        return cls(family="calogero_moser", a=float(a),
                    delta_star=float(delta_star))
 
     @classmethod
-    def nnn(cls, g, beta1=1.0, beta2=0.0, psi1=None, psi2=None,
-            psi1_second=None, psi2_second=None, delta_star=1.0):
+    def nnn(cls, g, beta1=1.0, beta2=0.0, delta_star=1.0):
         """Next-nearest-neighbour lattice: Phi1' = r + beta1 r^2,
-        Phi2' = g r + beta2 r^2 (plus optional cubic remainders)."""
-        spec = cls.finite_range((1.0, g), (beta1, beta2), psi_prime=(psi1, psi2),
-                                psi_second=(psi1_second, psi2_second),
-                                delta_star=delta_star)
-        return replace(spec, family="nnn", g=float(g))
+        Phi2' = g r + beta2 r^2; with remainders, use ``finite_range``."""
+        spec = cls.finite_range((1.0, g), (beta1, beta2), delta_star=delta_star)
+        return replace(spec, family="nnn")
 
     @classmethod
-    def classical_fput(cls, alpha1=1.0, beta1=1.0, psi1=None,
-                       psi1_second=None, gamma1=0.0, delta_star=1.0):
-        """Nearest-neighbour lattice with force law alpha1 r + beta1 r^2 + psi1."""
-        spec = cls.finite_range((alpha1,), (beta1,), gamma=(gamma1,), psi_prime=(psi1,),
-                                psi_second=(psi1_second,), delta_star=delta_star)
+    def classical_fput(cls, alpha1=1.0, beta1=1.0, delta_star=1.0):
+        """Nearest-neighbour lattice with force law alpha1 r + beta1 r^2."""
+        spec = cls.finite_range((alpha1,), (beta1,), delta_star=delta_star)
         return replace(spec, family="classical_fput")
 
     @classmethod
-    def finite_range(cls, alpha, beta, gamma=None, varsigma=None,
-                     psi_prime=None, psi_second=None, r_star=0.0,
-                     delta_star=1.0):
+    def finite_range(cls, alpha, beta, gamma=None, psi_prime=None,
+                     psi_second=None, delta_star=1.0):
         """Explicit finite-range family; sequences indexed by m = 1..len.
 
+        ``gamma`` bounds the optional callables ``psi_prime``, ``psi_second``.
         Rejects sum beta_m m^3 = 0 (so do ``nnn`` and ``classical_fput``,
         which are finite ranges of length 2 and 1).
         """
-        spec = cls.custom(alpha, beta, gamma, varsigma, psi_prime, psi_second,
-                          r_star, delta_star)
+        spec = cls.custom(alpha, beta, gamma, psi_prime, psi_second, delta_star)
         m = np.arange(1, len(spec.beta) + 1, dtype=float)
         if float(np.sum(np.asarray(spec.beta) * m ** 3)) == 0.0:
             raise DegeneracyError("degenerate quadratic coefficient: sum beta_m m^3 = 0")
         return replace(spec, family="finite_range")
 
     @classmethod
-    def custom(cls, alpha, beta, gamma, varsigma=None, psi_prime=None,
-               psi_second=None, r_star=0.0, delta_star=1.0,
-               tail_alpha_m2=0.0, tail_beta_m5=0.0, tail_gamma_m4=0.0):
-        """Explicit coefficient sequences with caller-supplied bounds on the
-        coefficient mass beyond them; b = 0 is left for ``b_coefficient``."""
+    def custom(cls, alpha, beta, gamma, psi_prime=None, psi_second=None,
+               delta_star=1.0, tail_alpha_m2=0.0, tail_beta_m5=0.0,
+               tail_gamma_m4=0.0):
+        """``finite_range`` with bounds ``tail_*`` on the coefficient mass
+        beyond the sequences; b = 0 is left for ``b_coefficient``."""
         alpha = tuple(float(v) for v in alpha)
         beta = tuple(float(v) for v in beta)
         n = len(alpha)
         if len(beta) != n:
             raise ConfigError("alpha and beta sequences must have equal length")
         gamma = tuple(float(v) for v in gamma) if gamma is not None else (0.0,) * n
-        varsigma = tuple(float(v) for v in varsigma) if varsigma is not None else (0.0,) * n
         psi_prime = tuple(psi_prime) if psi_prime is not None else (None,) * n
         psi_second = tuple(psi_second) if psi_second is not None else (None,) * n
         return cls(family="custom", alpha=alpha, beta=beta, gamma=gamma,
-                   varsigma=varsigma, psi_prime=psi_prime,
-                   psi_second=psi_second, r_star=float(r_star),
+                   psi_prime=psi_prime, psi_second=psi_second,
                    delta_star=float(delta_star),
                    tail_alpha_m2=float(tail_alpha_m2),
                    tail_beta_m5=float(tail_beta_m5),
@@ -230,13 +221,13 @@ class _PowerLaw:
 
 
 class _Table:
-    """alpha_m, beta_m, varsigma_m for m = 1..M, zero beyond M; psi_m' and
-    psi_m'' from the caller's callables, zero where there is none."""
+    """alpha_m, beta_m for m = 1..M, zero beyond M; psi_m', psi_m'' from the
+    caller's callables, None (zero) for a scalar m without one."""
 
     infinite_range = False
 
-    def __init__(self, alpha, beta, varsigma, psi_prime, psi_second):
-        self._alpha, self._beta, self._varsigma = alpha, beta, varsigma
+    def __init__(self, alpha, beta, psi_prime, psi_second):
+        self._alpha, self._beta = alpha, beta
         self._psi_prime, self._psi_second = psi_prime, psi_second
         self._callables = any(fn is not None for fn in psi_prime)
 
@@ -256,14 +247,16 @@ class _Table:
         return _call_each(self._psi_second, m, eta)
 
     def pair_energy(self, m, eta):
-        out = (_lookup(self._varsigma, m) * eta + 0.5 * self.alpha(m) * (eta * eta)
-               + self.beta(m) * (eta * eta * eta) / 3.0)
+        out = 0.5 * self.alpha(m) * (eta * eta) + self.beta(m) * (eta * eta * eta) / 3.0
         if self._callables:
             # integral of psi' over [0, eta], 16-node Gauss-Legendre
             nodes, weights = np.polynomial.legendre.leggauss(16)
             acc = np.zeros_like(eta)
             for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
-                acc = acc + w * self.psi_prime(m, eta * t)
+                psi = self.psi_prime(m, eta * t)
+                if psi is None:
+                    return out
+                acc = acc + w * psi
             out = out + acc * eta
         return out
 
@@ -291,11 +284,19 @@ def _lookup(table, m):
     return np.where(inside, table[np.where(inside, idx, 1) - 1], 0.0)
 
 
+def _remainder(out, eta):
+    """A law's psi' or psi'' with None as zeros and a 0-d result as float."""
+    if out is None:
+        return np.zeros_like(eta)
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def _call_each(fns, m, eta):
-    """fns[m - 1](eta) per m, zero where the entry is None or past the end."""
+    """fns[m - 1](eta) per m, zero where the entry is None or past the end;
+    None for a scalar m without an entry."""
     if np.ndim(m) == 0:
         fn = fns[int(m) - 1] if int(m) <= len(fns) else None
-        return fn(eta) if fn is not None else np.zeros_like(eta)
+        return fn(eta) if fn is not None else None
     m = np.asarray(m)
     out = np.zeros(np.broadcast_shapes(m.shape, eta.shape))
     eta_b = np.broadcast_to(eta, out.shape)
@@ -321,7 +322,6 @@ class LatticeModel:
     """
 
     family: str
-    r_star: float
     delta_star: float
     M: int
     alpha: np.ndarray
@@ -394,14 +394,12 @@ class LatticeModel:
         for the small strains the long-wave regime produces.
         """
         eta = np.asarray(eta, dtype=float)
-        out = self._law.psi_prime(m, eta, self._check_domain(m, eta))
-        return float(out) if np.ndim(out) == 0 else out
+        return _remainder(self._law.psi_prime(m, eta, self._check_domain(m, eta)), eta)
 
     def psi_second(self, m, eta):
         """Second derivative of the remainder, same conventions as psi_prime."""
         eta = np.asarray(eta, dtype=float)
-        out = self._law.psi_second(m, eta, self._check_domain(m, eta))
-        return float(out) if np.ndim(out) == 0 else out
+        return _remainder(self._law.psi_second(m, eta, self._check_domain(m, eta)), eta)
 
     def force_term(self, m, eta):
         """Phi_m'(r* m + eta) - varsigma_m = alpha eta + beta eta^2 + psi'.
@@ -410,17 +408,22 @@ class LatticeModel:
         """
         eta = np.asarray(eta, dtype=float)
         law = self._law
-        return law.alpha(m) * eta + law.beta(m) * eta * eta + law.psi_prime(m, eta)
+        out = law.alpha(m) * eta + law.beta(m) * eta * eta
+        psi = law.psi_prime(m, eta)
+        return out if psi is None else out + psi
 
     def nonlinear_force_term(self, m, eta):
         """beta eta^2 + psi'(eta): ``force_term`` without its linear part,
         same domain convention."""
         eta = np.asarray(eta, dtype=float)
         law = self._law
-        return law.beta(m) * eta * eta + law.psi_prime(m, eta)
+        out = law.beta(m) * eta * eta
+        psi = law.psi_prime(m, eta)
+        return out if psi is None else out + psi
 
     def pair_energy(self, m, eta):
-        """Phi_m(r* m + eta) - Phi_m(r* m), the gauge-fixed bond energy."""
+        """Phi_m(r* m + eta) - Phi_m(r* m), the gauge-fixed bond energy; a
+        table leaves out varsigma_m eta (module docstring)."""
         return self._law.pair_energy(m, np.asarray(eta, dtype=float))
 
     # -- power-series form of the force laws -------------------------------
@@ -593,7 +596,7 @@ def _build_power_law(spec, trunc_tol):
     # EM-corrected zeta is good to ~1e-13 absolute; scale by the largest prefactor
     unc = 1e-12 * c_max * max(z_am2, 1.0)
     return LatticeModel(
-        family=spec.family, r_star=1.0, delta_star=spec.delta_star,
+        family=spec.family, delta_star=spec.delta_star,
         M=M, alpha=alpha, beta=beta, gamma=gamma, varsigma=varsigma,
         a=a, trunc_tol=trunc_tol,
         sum_alpha_m2=c_alpha * z_a,
@@ -614,15 +617,14 @@ def _build_finite(spec, trunc_tol):
     alpha = np.array(spec.alpha, dtype=float)
     beta = np.array(spec.beta, dtype=float)
     gamma = np.array(spec.gamma, dtype=float)
-    varsigma = np.array(spec.varsigma, dtype=float)
     M = len(alpha)
     if M == 0:
         raise ConfigError("empty coefficient sequences")
     m = np.arange(1, M + 1, dtype=float)
     return LatticeModel(
-        family=spec.family, r_star=spec.r_star, delta_star=spec.delta_star,
+        family=spec.family, delta_star=spec.delta_star,
         M=M, alpha=alpha, beta=beta, gamma=gamma,
-        varsigma=varsigma, a=None, trunc_tol=trunc_tol,
+        varsigma=np.zeros(M), a=None, trunc_tol=trunc_tol,
         sum_alpha_m2=float(np.sum(alpha * m ** 2)),
         sum_alpha_m4=float(np.sum(alpha * m ** 4)),
         sum_beta_m3=float(np.sum(beta * m ** 3)),
@@ -633,7 +635,7 @@ def _build_finite(spec, trunc_tol):
         tail_beta_m3=spec.tail_beta_m5,  # conservative: m^5 bound dominates m^3
         tail_beta_m5=spec.tail_beta_m5,
         tail_gamma_m4=spec.tail_gamma_m4,
-        _law=_Table(alpha, beta, varsigma, spec.psi_prime, spec.psi_second),
+        _law=_Table(alpha, beta, spec.psi_prime, spec.psi_second),
     )
 
 

@@ -199,8 +199,9 @@ def estimate_sigma(model, k_range, n=40):
     """Remainder exponent sigma from a log-log fit of |t2(k)| on (0, k*].
 
     Least-squares slope of log |t2| against log k, minus 2, clamped to
-    (0, 2].  If t2 is numerically indistinguishable from zero on the range
-    the curve is analytic to working precision and sigma = 2 is returned.
+    (0, 2], over the samples with |t2| > 1e-14 c0^2, a test that scaling
+    every alpha_m leaves alone.  With no such sample the curve is analytic
+    to working precision and sigma = 2 is returned.
     """
     lo, hi = k_range
     if not (0.0 < lo < hi):
@@ -212,10 +213,10 @@ def estimate_sigma(model, k_range, n=40):
 
 
 def _fit_exponent(model, lo, hi, n):
-    """Unclamped fit of estimate_sigma; None when every |t2| <= 1e-14."""
+    """Unclamped fit of estimate_sigma; None when every |t2| <= 1e-14 c0^2."""
     ks = np.geomspace(lo, hi, n)
     t2 = np.abs(t1_t2(model, ks)[1])
-    good = t2 > 1e-14
+    good = t2 > 1e-14 * float(model.sum_alpha_m2)
     if not np.any(good):
         return None
     return float(np.polyfit(np.log(ks[good]), np.log(t2[good]), 1)[0] - 2.0)
@@ -335,7 +336,7 @@ def certify_type1(model):
             fit = _fit_exponent(model, cand / 50.0, cand, 48)
             if fit is None:
                 sigma_fit, s_cert = 2.0, 2.0
-                notes.append("t2 below 1e-14 on fit range: analytic to "
+                notes.append("t2 below 1e-14 c0^2 on fit range: analytic to "
                              "working precision, sigma = 2")
             else:
                 sigma_fit = fit

@@ -21,7 +21,6 @@ class TestBuildModel:
         assert cm4.beta[0] == pytest.approx(-60.0, abs=1e-12)
         assert cm4.varsigma[0] == pytest.approx(-4.0, abs=1e-12)
         assert cm4.gamma[0] == pytest.approx(840.0, abs=1e-12)
-        assert cm4.r_star == 1.0
         # sharp Lagrange radius for the remainder bounds
         assert cm4.delta_star == pytest.approx(1.0 - 6.0 ** (-1.0 / 8.0), abs=1e-15)
 

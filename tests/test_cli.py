@@ -62,11 +62,31 @@ def test_classify_type1(tmp_path, capsys):
 
 def test_classify_type2_rejected(tmp_path):
     cfg = _write(tmp_path, g="-0.2")
-    assert main(["classify", "--config", str(cfg)]) == 1
+    # every command that needs a type I lattice stops at the certificate
+    for command in ("classify", "solve", "sweep", "simulate"):
+        assert main([command, "--config", str(cfg), "--quiet"]) == 1
+    assert not (tmp_path / "out" / "solution.json").exists()
     cert = json.loads((tmp_path / "out" / "certificate.json").read_text())
     assert cert["type1"] is False
     # lambda''(0) = -1/6 - 8g/3 with g = -0.2 is positive: wrong type
     assert cert["lambda_dd0"] == pytest.approx(-1.0 / 6.0 + 1.6 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("body, family", [
+    ("alpha1 = 1.0\nbeta1 = 1.0\n", "classical_fput"),
+    ("alphas = 1.0,0.0,0.3\nbetas = 1.0,0.0,0.0\n", "finite_range"),
+])
+def test_table_family_config(tmp_path, body, family):
+    cfg = tmp_path / "table.ini"
+    cfg.write_text(f"[model]\nfamily = {family}\n{body}"
+                   f"[output]\ndir = {tmp_path / 'out'}\n")
+    for command in ("classify", "solve"):
+        assert main([command, "--config", str(cfg), "--quiet"]) == 0
+    cert = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    assert cert["family"] == family
+    assert cert["type1"] is True
+    sol = json.loads((tmp_path / "out" / "solution.json").read_text())
+    assert sol["residual_H1"] <= 1e-8
 
 
 def test_solve_writes_solution(tmp_path, capsys):

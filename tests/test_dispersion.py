@@ -387,6 +387,20 @@ class TestSigmaEstimate:
     def test_nnn(self, nnn1):
         assert lw.estimate_sigma(nnn1, (0.01, 0.5)) == pytest.approx(2.0, abs=0.05)
 
+    @pytest.mark.parametrize("s", [2.0 ** -20, 2.0 ** -40], ids=["2^-20", "2^-40"])
+    def test_certificate_does_not_depend_on_coefficient_scale(self, s):
+        # scaling every alpha_m by s only rescales time, and a power of two
+        # scales every lambda, t1 and t2 exactly
+        def certify(scale):
+            spec = lw.PotentialSpec.finite_range([scale, scale / 4.0], [1.0, 0.5])
+            return lw.certify_type1(lw.build_model(spec))
+
+        ref, got = certify(1.0), certify(s)
+        for key in ("sigma", "sigma_fit", "k_star", "notes"):
+            assert getattr(got, key) == getattr(ref, key)
+        assert got.mu_star == s * ref.mu_star
+        assert got.c0_sq == s * ref.c0_sq
+
     def test_preconditions(self, cm35):
         with pytest.raises(lw.DomainError):
             lw.estimate_sigma(cm35, (0.5, 0.1))
