@@ -22,16 +22,18 @@ Supported families:
   ``r + beta1 r^2`` and ``g r + beta2 r^2``.
 * ``classical_fput`` -- nearest-neighbour only.
 * ``finite_range``   -- explicit coefficients for finitely many m.
-* ``custom``         -- ``finite_range`` with caller-declared tail bounds.
+* ``custom``         -- ``finite_range`` with a caller-declared bound
+  ``tail_alpha_m2`` on the linear coefficient mass beyond the sequences.
 
 Families differ only in where the coefficients come from, and
 ``LatticeModel`` holds one private provider for that: closed forms for
-every m (the power law) or a table whose coefficients are zero beyond M and
-whose psi_m' is a user callable or zero.  ``family`` is only a label.  The
-power law's series (the force law, psi_m' and psi_m'') are cut where the
-dropped terms sum to at most 2^-53 of the first kept term at the largest
-|eta/m| of the call; past 12 terms (|eta/m| beyond about 0.03) the
-remainders use the direct formula.
+every m (the power law) or a table.  A table's force laws are the
+quadratics ``alpha_m eta + beta_m eta^2`` for m = 1..M, zero beyond M, so
+its psi_m' is zero and ``gamma`` only enters the declared bounds.
+``family`` is only a label.  The power law's series (the force law, psi_m'
+and psi_m'') are cut where the dropped terms sum to at most 2^-53 of the
+first kept term at the largest |eta/m| of the call; past 12 terms (|eta/m|
+beyond about 0.03) the remainders use the direct formula.
 """
 
 import itertools
@@ -77,12 +79,8 @@ class PotentialSpec:
     alpha: tuple = ()
     beta: tuple = ()
     gamma: tuple = ()
-    psi_prime: tuple = ()
-    psi_second: tuple = ()
     delta_star: float = 1.0
     tail_alpha_m2: float = 0.0
-    tail_beta_m5: float = 0.0
-    tail_gamma_m4: float = 0.0
 
     @classmethod
     def calogero_moser(cls, a, delta_star=None):
@@ -96,7 +94,8 @@ class PotentialSpec:
         proves |psi'| <= gamma |eta|^3 and |psi''| <= 3 gamma eta^2 with
         gamma_m = a(a+1)(a+2)(a+3) m^(-a-4).  (On |eta| <= m/2 the second
         bound actually fails near the singular side for a close to 3, so a
-        fixed a-independent radius is not available.)
+        fixed a-independent radius is not available.)  A given radius must
+        lie in (0, 1): at eta = -m the bond length m + eta reaches the pole.
         """
         if a <= 3.0:
             raise DegeneracyError(
@@ -106,12 +105,12 @@ class PotentialSpec:
         if delta_star is None:
             delta_star = 1.0 - 6.0 ** (-1.0 / (a + 4.0))
         return cls(family="calogero_moser", a=float(a),
-                   delta_star=float(delta_star))
+                   delta_star=_radius(delta_star, below=1.0))
 
     @classmethod
     def nnn(cls, g, beta1=1.0, beta2=0.0, delta_star=1.0):
         """Next-nearest-neighbour lattice: Phi1' = r + beta1 r^2,
-        Phi2' = g r + beta2 r^2; with remainders, use ``finite_range``."""
+        Phi2' = g r + beta2 r^2."""
         spec = cls.finite_range((1.0, g), (beta1, beta2), delta_star=delta_star)
         return replace(spec, family="nnn")
 
@@ -122,40 +121,44 @@ class PotentialSpec:
         return replace(spec, family="classical_fput")
 
     @classmethod
-    def finite_range(cls, alpha, beta, gamma=None, psi_prime=None,
-                     psi_second=None, delta_star=1.0):
-        """Explicit finite-range family; sequences indexed by m = 1..len.
+    def finite_range(cls, alpha, beta, gamma=None, delta_star=1.0):
+        """Force laws alpha_m eta + beta_m eta^2 for m = 1..len(alpha).
 
-        ``gamma`` bounds the optional callables ``psi_prime``, ``psi_second``.
-        Rejects sum beta_m m^3 = 0 (so do ``nnn`` and ``classical_fput``,
-        which are finite ranges of length 2 and 1).
+        ``gamma`` (default zeros) is carried into the model's remainder
+        bounds.  Rejects sum beta_m m^3 = 0 (so do ``nnn`` and
+        ``classical_fput``, which are finite ranges of length 2 and 1).
         """
-        spec = cls.custom(alpha, beta, gamma, psi_prime, psi_second, delta_star)
+        spec = cls.custom(alpha, beta, gamma, delta_star)
         m = np.arange(1, len(spec.beta) + 1, dtype=float)
         if float(np.sum(np.asarray(spec.beta) * m ** 3)) == 0.0:
             raise DegeneracyError("degenerate quadratic coefficient: sum beta_m m^3 = 0")
         return replace(spec, family="finite_range")
 
     @classmethod
-    def custom(cls, alpha, beta, gamma, psi_prime=None, psi_second=None,
-               delta_star=1.0, tail_alpha_m2=0.0, tail_beta_m5=0.0,
-               tail_gamma_m4=0.0):
-        """``finite_range`` with bounds ``tail_*`` on the coefficient mass
-        beyond the sequences; b = 0 is left for ``b_coefficient``."""
+    def custom(cls, alpha, beta, gamma, delta_star=1.0, tail_alpha_m2=0.0):
+        """``finite_range`` with a bound ``tail_alpha_m2`` on sum alpha_m
+        m^2 beyond the sequences; b = 0 is left for ``b_coefficient``."""
         alpha = tuple(float(v) for v in alpha)
         beta = tuple(float(v) for v in beta)
         n = len(alpha)
         if len(beta) != n:
-            raise ConfigError("alpha and beta sequences must have equal length")
+            raise ConfigError(f"alpha and beta sequences must have equal length: "
+                              f"{n} != {len(beta)}")
         gamma = tuple(float(v) for v in gamma) if gamma is not None else (0.0,) * n
-        psi_prime = tuple(psi_prime) if psi_prime is not None else (None,) * n
-        psi_second = tuple(psi_second) if psi_second is not None else (None,) * n
+        if len(gamma) != n:
+            raise ConfigError(f"gamma has {len(gamma)} entries, alpha and beta {n}")
         return cls(family="custom", alpha=alpha, beta=beta, gamma=gamma,
-                   psi_prime=psi_prime, psi_second=psi_second,
-                   delta_star=float(delta_star),
-                   tail_alpha_m2=float(tail_alpha_m2),
-                   tail_beta_m5=float(tail_beta_m5),
-                   tail_gamma_m4=float(tail_gamma_m4))
+                   delta_star=_radius(delta_star),
+                   tail_alpha_m2=float(tail_alpha_m2))
+
+
+def _radius(delta_star, below=math.inf):
+    """delta_star as a float, checked to lie in (0, below)."""
+    value = float(delta_star)
+    if not 0.0 < value < below:  # also rejects NaN
+        allowed = "> 0" if below == math.inf else f"in (0, {below:g})"
+        raise ConfigError(f"expansion radius delta_star={value} must be {allowed}")
+    return value
 
 
 # -- coefficient providers -----------------------------------------------------
@@ -221,15 +224,13 @@ class _PowerLaw:
 
 
 class _Table:
-    """alpha_m, beta_m for m = 1..M, zero beyond M; psi_m', psi_m'' from the
-    caller's callables, None (zero) for a scalar m without one."""
+    """alpha_m, beta_m for m = 1..M, zero beyond M: the force laws
+    alpha_m eta + beta_m eta^2, whose psi_m' and psi_m'' are zero (None)."""
 
     infinite_range = False
 
-    def __init__(self, alpha, beta, psi_prime, psi_second):
+    def __init__(self, alpha, beta):
         self._alpha, self._beta = alpha, beta
-        self._psi_prime, self._psi_second = psi_prime, psi_second
-        self._callables = any(fn is not None for fn in psi_prime)
 
     def alpha(self, m):
         return _lookup(self._alpha, m)
@@ -241,38 +242,24 @@ class _Table:
         return _lookup(self._beta, m)
 
     def psi_prime(self, m, eta, zmax=None):
-        return _call_each(self._psi_prime, m, eta)
+        return None
 
     def psi_second(self, m, eta, zmax=None):
-        return _call_each(self._psi_second, m, eta)
+        return None
 
     def pair_energy(self, m, eta):
-        out = 0.5 * self.alpha(m) * (eta * eta) + self.beta(m) * (eta * eta * eta) / 3.0
-        if self._callables:
-            # integral of psi' over [0, eta], 16-node Gauss-Legendre
-            nodes, weights = np.polynomial.legendre.leggauss(16)
-            acc = np.zeros_like(eta)
-            for t, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
-                psi = self.psi_prime(m, eta * t)
-                if psi is None:
-                    return out
-                acc = acc + w * psi
-            out = out + acc * eta
-        return out
+        return 0.5 * self.alpha(m) * (eta * eta) + self.beta(m) * (eta * eta * eta) / 3.0
 
     def series(self, n_terms, m):
-        # polynomials of degree 2; a psi' callable has no series form
-        if self._callables:
-            return None
         out = np.zeros((n_terms, m.size))
         out[:2] = [self.alpha(m), self.beta(m)][:n_terms]
         return out
 
     def series_length(self, rho):
-        return None if self._callables else (2, 0.0)
+        return 2, 0.0
 
     def remainder_degrees(self, zmax):
-        return None  # psi' is zero or a callable: no degree form
+        return None  # psi' is zero
 
 
 def _lookup(table, m):
@@ -291,22 +278,6 @@ def _remainder(out, eta):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _call_each(fns, m, eta):
-    """fns[m - 1](eta) per m, zero where the entry is None or past the end;
-    None for a scalar m without an entry."""
-    if np.ndim(m) == 0:
-        fn = fns[int(m) - 1] if int(m) <= len(fns) else None
-        return fn(eta) if fn is not None else None
-    m = np.asarray(m)
-    out = np.zeros(np.broadcast_shapes(m.shape, eta.shape))
-    eta_b = np.broadcast_to(eta, out.shape)
-    for i, mi in enumerate(m.ravel()):
-        fn = fns[int(mi) - 1] if int(mi) <= len(fns) else None
-        if fn is not None:
-            out.reshape(m.size, -1)[i] = fn(eta_b.reshape(m.size, -1)[i])
-    return out
-
-
 @dataclass(frozen=True)
 class LatticeModel:
     """Coefficient tables and certified scalar sums of one lattice.
@@ -314,9 +285,10 @@ class LatticeModel:
     The per-m arrays run over ``m = 1..M`` (stored 0-based).  The scalar
     attributes ``sum_*`` are full-series values: exact for finite families,
     Euler-Maclaurin corrected for the power-law family, accurate to far
-    better than ``trunc_tol``.  ``tail_*`` are one-sided integral bounds on
-    the coefficient mass beyond M, i.e. the truncation error committed by
-    any consumer that only reads the arrays.
+    better than ``trunc_tol``.  ``tail_*`` bound the coefficient mass beyond
+    M, i.e. the truncation error committed by any consumer that only reads
+    the arrays: one-sided integral bounds for the power law, zero for a
+    table apart from the ``tail_alpha_m2`` that ``custom`` declares.
 
     Immutable after construction; safe to share across threads.
     """
@@ -340,7 +312,6 @@ class LatticeModel:
     # integral bounds on the neglected arrays beyond M
     tail_alpha_m2: float
     tail_beta_m3: float
-    tail_beta_m5: float
     tail_gamma_m4: float
     _law: object = field(repr=False, compare=False)  # _PowerLaw or _Table
 
@@ -391,7 +362,8 @@ class LatticeModel:
         follows from the largest |eta/m| of the call (module docstring): the
         direct formula subtracts the linear and quadratic parts explicitly
         and would lose most significant digits of the O(eta^3) remainder
-        for the small strains the long-wave regime produces.
+        for the small strains the long-wave regime produces.  A table's
+        remainder is zero.
         """
         eta = np.asarray(eta, dtype=float)
         return _remainder(self._law.psi_prime(m, eta, self._check_domain(m, eta)), eta)
@@ -432,11 +404,10 @@ class LatticeModel:
         """Coefficients c_{n,m} of ``force_term(m, eta) = sum_n c_{n,m} eta^n``.
 
         Row ``n - 1`` holds c_{n,m} for n = 1..n_terms over the 1-d array
-        ``m``; c_1 = alpha and c_2 = beta.  The table families are
-        polynomials of degree 2; the power law continues with the Taylor
-        coefficients c_{n,m} = -a binom(-a-1, n) m^(-a-1-n) that
-        ``psi_prime`` sums.  None when some psi' is a user callable, which
-        has no series form.
+        ``m``; c_1 = alpha and c_2 = beta.  A table's force laws are
+        these polynomials of degree 2, with zero rows n > 2; the power law
+        continues with the Taylor coefficients c_{n,m} = -a binom(-a-1, n)
+        m^(-a-1-n) that ``psi_prime`` sums.
         """
         return self._law.series(n_terms, np.asarray(m, dtype=float))
 
@@ -446,9 +417,9 @@ class LatticeModel:
         Returns ``(N, tail)`` with N the least length whose dropped terms obey
         ``sum_{n>N} |c_{n,m}| (m rho)^n <= tail |alpha_m| m rho`` for every m
         with ``tail <= 2^-53``: the truncation sits below rounding of the
-        linear force.  The table polynomials need N = 2 with tail 0.  None
-        when there is no series or the power law would need more than 12
-        terms (rho past about 0.03 at a = 4).
+        linear force.  A table needs N = 2 with tail 0 at every rho.  None
+        when the power law would need more than 12 terms (rho past about
+        0.03 at a = 4).
         """
         return self._law.series_length(rho)
 
@@ -460,7 +431,7 @@ class LatticeModel:
         same m-weight m^-p.  The series is cut where its dropped terms sum
         to at most 2^-53 of the first kept one on |z| <= zmax, with no cap
         on its length; it converges for zmax < 1 and raises otherwise.
-        None for a table, whose psi' is zero or a callable.
+        None for a table, whose psi' is zero.
         """
         return self._law.remainder_degrees(zmax)
 
@@ -607,7 +578,6 @@ def _build_power_law(spec, trunc_tol):
         sum_uncertainty=unc,
         tail_alpha_m2=c_alpha * integral_tail_bound(a, M),
         tail_beta_m3=c_beta * integral_tail_bound(a, M),
-        tail_beta_m5=c_beta * integral_tail_bound(a - 2.0, M),
         tail_gamma_m4=c_gamma * integral_tail_bound(a, M),
         _law=_PowerLaw(a),
     )
@@ -632,10 +602,9 @@ def _build_finite(spec, trunc_tol):
         sum_gamma_m4=float(np.sum(gamma * m ** 4)),
         sum_uncertainty=0.0,
         tail_alpha_m2=spec.tail_alpha_m2,
-        tail_beta_m3=spec.tail_beta_m5,  # conservative: m^5 bound dominates m^3
-        tail_beta_m5=spec.tail_beta_m5,
-        tail_gamma_m4=spec.tail_gamma_m4,
-        _law=_Table(alpha, beta, spec.psi_prime, spec.psi_second),
+        tail_beta_m3=0.0,
+        tail_gamma_m4=0.0,
+        _law=_Table(alpha, beta),
     )
 
 
@@ -667,13 +636,10 @@ def check_assumptions(model):
     ``b = sum beta_m m^3`` is certifiably non-zero.  Never raises: failures
     are carried as flags.
     """
+    # the sums cover every m: the power law's up to their Euler-Maclaurin
+    # error, a table's exactly (sum_uncertainty = 0)
     beta5, g4 = model.sum_abs_beta_m5, model.sum_gamma_m4
-    if model.infinite_range:
-        # the certified sums already cover every m
-        beta5_tail = g4_tail = b_unc = model.sum_uncertainty
-    else:
-        beta5_tail, g4_tail = model.tail_beta_m5, model.tail_gamma_m4
-        b_unc = model.sum_uncertainty + model.tail_beta_m3
+    beta5_tail = g4_tail = b_unc = model.sum_uncertainty
     b = model.sum_beta_m3
     return AssumptionReport(
         beta_m5_value=beta5, beta_m5_tail=beta5_tail,

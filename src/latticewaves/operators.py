@@ -61,10 +61,12 @@ sig and Msym are built once per context on the progression
 t_j = j eps pi / L by ``spectral.remainder_sums``, which sums the (m, t_j)
 with m t_j <= 2 one by one and may take the rest through one chirp.
 
-P_eps takes the same split: the rows m <= 16 one by one, and for the
-power law all ranges 16 < m <= M by product-to-sum, one degree at a
-time.  With z = eps^2 A_em W the power law has m psi_m'(m z) = m^-a
-sum_{n>=3} kappa_n z^n, kappa_n = -a binom(-a-1, n)
+P_eps is identically zero for a table, whose force laws are the
+quadratics alpha_m eta + beta_m eta^2 (psi_m' = 0).  For the power law
+it takes the same split: the rows m <= 16 one by one, and all ranges
+16 < m <= M by product-to-sum, one degree at a time.  With
+z = eps^2 A_em W the power law has m psi_m'(m z) = m^-a sum_{n>=3}
+kappa_n z^n, kappa_n = -a binom(-a-1, n)
 (``LatticeModel.remainder_degrees``): every degree carries the weight
 m^-a.  Write W = mu + W~ with mu = c(0) / N the mean (A_h mu = mu); the
 far ranges then give::
@@ -226,10 +228,9 @@ class LongWaveOperators:
     the mass of Q past M is bounded by ``model.tail_beta_m3`` (zero for a
     finite table).  Each sums its ``m_apply = min(M, 16)`` nearest ranges
     one by one.  P_eps takes the power law's ranges beyond them degree by
-    degree; a table's psi' has no degree form, so its ranges beyond stay
-    one by one up to M.  The linear multipliers always use the
-    model's full coefficient table plus certified tail corrections, evaluated on the
-    grid's progression eps k_j = j eps pi / L by
+    degree; a table's P_eps is zero.  The linear multipliers always use
+    the model's full coefficient table plus certified tail corrections,
+    evaluated on the grid's progression eps k_j = j eps pi / L by
     ``dispersion.t1_t2_progression`` (``spectral.remainder_sums``).
     eps must lie in (0, 0.5].
     """
@@ -280,9 +281,6 @@ class LongWaveOperators:
         if model.M > _M_NEAR:
             self._sig, self._msym = _far_symbols(model.beta, dt, self._cut)
             self._inv_t = np.append(0.0, 1.0 / (dt * np.arange(1, self._cut)))
-        # P's ranges past 16 go by degrees for the power law; a table's
-        # psi' has no degree form, so its rows stay direct up to M
-        self._p_degrees = model.infinite_range and model.M > _M_NEAR
         self._h = None  # degree tables of P's far ranges, built on first use
 
         amp = -1.5 * self.lambda_dd0 / (2.0 * self.b)
@@ -384,35 +382,27 @@ class LongWaveOperators:
 
     def cubic(self, W):
         """Cubic-and-higher remainder sum over every range m <= M; formally
-        O(1) in eps.
+        O(1) in eps, and zero for a table, whose psi' is zero.
 
-        The strain fed to each remainder is m eps^2 (A_em W); its magnitude
-        must stay within the expansion radius m*delta*, otherwise the model
-        raises naming the offending interaction range.  The ranges summed
-        one by one are checked sample by sample.  The power law's ranges
-        m > 16 are checked without forming them, by the bound
-        |A_h W| <= (|c_0| + 2 sum_{j>=1} |c_j|) / N on the cut DCT-I c of
-        W, which holds for every width h; the error names that bound.
+        For the power law the strain fed to each remainder is
+        m eps^2 (A_em W); its magnitude must stay within the expansion
+        radius m*delta*, otherwise the model raises naming the offending
+        interaction range.  The ranges summed one by one are checked sample
+        by sample.  The ranges m > 16 are checked without forming them, by
+        the bound |A_h W| <= (|c_0| + 2 sum_{j>=1} |c_j|) / N on the cut
+        DCT-I c of W, which holds for every width h; the error names that
+        bound.
         """
+        if not self.model.infinite_range:
+            return Field.zero(self.grid)
         c = self._cut_dct(self._half(W))
-        out = self._cubic_rows(c, self._m_col, self._sinc_stack)
-        if self._p_degrees:
+        # ranges m <= m_apply: m A_em[psi_m'(m eps^2 A_em W)] row by row
+        m, stack = self._m_col, self._sinc_stack
+        psi = self.model.psi_prime(m, self.eps ** 2 * m * _idct(stack * c))
+        out = np.sum(m * stack * self._cut_dct(psi), axis=0)
+        if self.model.M > _M_NEAR:
             out[:self._cut] += self._far_cubic(c)
-        else:
-            k = self.grid.k
-            for lo in range(self.m_apply, self.model.M, _M_NEAR):
-                m = np.arange(lo + 1, min(lo + _M_NEAR, self.model.M) + 1, dtype=float)
-                stack = _sinc(0.5 * self.eps * np.outer(m, k))
-                out += self._cubic_rows(c, m[:, None], stack)
         return self.eps ** -6 * self._field(_idct(out))
-
-    def _cubic_rows(self, c, m, stack):
-        """sum over the column ``m`` of m A_em[psi_m'(m eps^2 A_em W)]: DCT-I
-        coefficients from the cut ones ``c`` of W and the rows ``stack``
-        of sinc(eps m k / 2)."""
-        eta = self.eps ** 2 * m * _idct(stack * c)
-        psi = self.model.psi_prime(m, eta)
-        return np.sum(m * stack * self._cut_dct(psi), axis=0)
 
     def _far_cubic(self, c):
         """The power law's ranges m > _M_NEAR of eps^6 P_eps (module

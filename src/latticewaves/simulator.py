@@ -53,9 +53,13 @@ delta_star for every bond.  Two paths compute the same sum:
   every degree into circulant convolutions on the ring, so one call costs
   2N + 1 FFTs of length J and N(N+1)/2 spectrum products, whatever m_force.
 * Direct path.  Sums g_m(d_{j+m} - d_j) - g_m(d_j - d_{j-m}) over m on
-  slices of d extended periodically, O(m_force J).  It runs for m_force <= 4, where it is the
-  faster one, for table families whose psi' is a user callable, and for
-  strains so large that the series would need more than 12 terms.
+  slices of d extended periodically, O(m_force J).  It runs for m_force
+  <= 4, where it is the faster one, and for power-law strains so large
+  that the series would need more than 12 terms.  A table's force laws
+  are polynomials of degree 2, a series of 2 terms at every strain.
+
+Both paths sum the force without its degree-1 term, F_nl; ``force`` adds
+the linear force as one multiplier on the strain spectrum.
 
 ``total_energy`` takes the same path and series, so the force is the exact
 gradient of the monitored energy.  The report records the paths taken, the
@@ -311,16 +315,13 @@ def _power_hats(state, n_terms):
     return x, hats
 
 
-def _fft_force(state, r, n_terms, linear):
-    # F = sum_n sum_k binom(n,k) (-1)^k x^(n-k) (K_n * x^k), Horner in x^p
-    kern = state._ring
-    mult = kern.weights(n_terms)
+def _fft_force(state, n_terms):
+    # F_nl = sum_{n>=2} sum_k binom(n,k) (-1)^k x^(n-k) (K_n * x^k), Horner in x^p
+    mult = state._ring.weights(n_terms)
     x, hats = _power_hats(state, n_terms)
     out = np.zeros(state.J)
     for p in range(n_terms - 1, -1, -1):
         acc = np.sum(mult[p][:n_terms - p] * hats[:n_terms - p], axis=0)
-        if p == 0 and linear:
-            acc += kern.linear * np.fft.rfft(r)
         out = out * x + np.fft.irfft(acc, n=state.J)
     return out
 
@@ -334,12 +335,11 @@ def _stretches(d, m_force):
     return ((m, ext[m:m + J] - d) for m in range(1, m_force + 1))
 
 
-def _direct_force(state, linear):
-    model, J = state.model, state.J
-    term = model.force_term if linear else model.nonlinear_force_term
+def _direct_force(state):
+    J = state.J
     out = np.zeros(J)
     for m, eta in _stretches(state.d, state.m_force):
-        g = term(m, eta)
+        g = state.model.nonlinear_force_term(m, eta)
         # the left-sided term g_m(d_j - d_{j-m}) is g_m evaluated at j - m
         s = m % J
         out[s:] += g[s:] - g[:J - s]
@@ -347,7 +347,16 @@ def _direct_force(state, linear):
     return out
 
 
-def _force(state, linear):
+def nonlinear_force(state):
+    """The force without its degree-1 term: F_nl = F + Theta d.
+
+    Each force law less its linear part, ``beta eta^2 + psi'(eta)`` (the
+    constant term cancels between the two one-sided contributions).  Ranges
+    past ``_DIRECT_MAX_RANGE`` take the FFT path at the series length
+    ``series_length`` picks, unless the power law's series would pass 12
+    terms; the rest sum directly.  Checks the strain against delta_star
+    and logs the path, series and strain on the state.
+    """
     r = state.strain()
     rho = _check_domain(state, r)
     state.strain_max = max(state.strain_max, rho)
@@ -355,34 +364,22 @@ def _force(state, linear):
     fit = _series_terms(state, rho)
     if fit is None:
         state.force_paths.add("direct")
-        return _direct_force(state, linear)
+        return _direct_force(state)
     n_terms, tail = fit
     state.force_paths.add("fft")
     state.series_terms = max(state.series_terms, n_terms)
     state.series_bound = max(state.series_bound,
                              tail * rho * state._ring.linear_scale)
-    return _fft_force(state, r, n_terms, linear)
+    return _fft_force(state, n_terms)
 
 
 def force(state):
-    """Newtonian force on every particle.
-
-    Each force law is evaluated through its expansion
-    ``alpha eta + beta eta^2 + psi'(eta)`` (the constant term cancels
-    between the two one-sided contributions).  Ranges past
-    ``_DIRECT_MAX_RANGE`` whose model has a power series take the FFT path
-    at the series length ``series_length`` picks; the rest sum directly.
-    """
-    return _force(state, linear=True)
-
-
-def nonlinear_force(state):
-    """``force`` without its degree-1 term: F_nl = F + Theta d.
-
-    Same paths, checks and log; the direct path sums
-    ``beta eta^2 + psi'(eta)`` and the FFT path drops the linear transform.
-    """
-    return _force(state, linear=False)
+    """Newtonian force on every particle: ``nonlinear_force`` plus the
+    linear force, the multiplier ``_RingKernels.linear`` on the strain
+    spectrum (the one ``total_energy`` uses)."""
+    f_nl = nonlinear_force(state)
+    linear = _ring_multipliers(state).linear * np.fft.rfft(state.strain())
+    return f_nl + np.fft.irfft(linear, n=state.J)
 
 
 def step_verlet(state, dt):

@@ -50,6 +50,30 @@ class TestBuildModel:
         with pytest.raises(lw.DegeneracyError):
             lw.PotentialSpec.finite_range([1.0, 1.0], [-8.0, 1.0])
 
+    @pytest.mark.parametrize("gamma", [[0.5], [0.5, 0.1]])
+    def test_gamma_length_must_match(self, gamma):
+        # one entry per range: a short gamma is neither broadcast nor
+        # left to fail later in range_tail_bound
+        with pytest.raises(lw.ConfigError, match=rf"gamma has {len(gamma)} entries, "
+                                                 r"alpha and beta 3"):
+            lw.PotentialSpec.finite_range([1, 0.4, 0.1], [1, -0.3, 0.05], gamma=gamma)
+
+    @pytest.mark.parametrize("family, args, value", [
+        ("nnn", (1.0,), -1.0), ("nnn", (1.0,), 0.0), ("classical_fput", (), math.nan),
+        ("finite_range", ([1.0], [1.0]), -0.5), ("custom", ([1.0], [1.0], None), 0.0),
+        ("calogero_moser", (4.0,), -0.1), ("calogero_moser", (4.0,), 1.0),
+        ("calogero_moser", (4.0,), 2.0),
+    ])
+    def test_delta_star_rejected(self, family, args, value):
+        # a radius must be positive, and the power law's below the pole of
+        # its bond length m + eta at eta = -m
+        with pytest.raises(lw.ConfigError, match=rf"delta_star={value}"):
+            getattr(lw.PotentialSpec, family)(*args, delta_star=value)
+
+    def test_delta_star_accepted_inside(self):
+        assert lw.PotentialSpec.calogero_moser(4.0, delta_star=0.99).delta_star == 0.99
+        assert lw.PotentialSpec.nnn(1.0, delta_star=2.0).delta_star == 2.0
+
     def test_determinism(self):
         a = lw.build_model(lw.PotentialSpec.calogero_moser(3.7), trunc_tol=1e-7)
         b = lw.build_model(lw.PotentialSpec.calogero_moser(3.7), trunc_tol=1e-7)

@@ -208,6 +208,20 @@ def test_readme_config_accepted(tmp_path):
                  "--quiet"]) == 0
 
 
+def test_readme_constructors_match_signatures():
+    # each constructor the catalog bullet quotes names exactly its
+    # parameters; delta_star, which every one takes, has its own sentence
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullet = readme.split("1. **Catalog**", 1)[1].split("2. **", 1)[0]
+    for name in ("calogero_moser", "nnn", "classical_fput", "finite_range", "custom"):
+        quoted = re.search(rf"`{name}\(([^)]*)\)`", bullet)
+        assert quoted, name
+        params = list(inspect.signature(getattr(lw.PotentialSpec, name)).parameters)
+        assert [p.strip() for p in quoted.group(1).split(",")] == \
+            [p for p in params if p != "delta_star"]
+    assert "`delta_star`" in bullet
+
+
 @pytest.mark.parametrize("extra, name", [("[simulate]\nm_forc = 8\n", "m_forc"),
                                          ("[modle]\na = 4.0\n", "modle")])
 def test_unknown_config_key_rejected(tmp_path, capsys, extra, name):
@@ -257,6 +271,12 @@ def test_bad_config_value_rejected(tmp_path, capsys, extra, words):
     ("solve", "eps = 0.1", "eps = 0", ("eps=0.0", "(0, 0.5]")),
     ("simulate", "eps = 0.1", "eps = 0", ("eps=0.0", "(0, 0.5]")),
     ("simulate", "checkpoints = 20", "checkpoints = 0", ("checkpoints=0",)),
+    ("classify", "trunc_tol = 1e-8", "trunc_tol = 1e-8\ndelta_star = -1",
+     ("delta_star=-1.0", "> 0")),
+    ("classify", "trunc_tol = 1e-8", "trunc_tol = 1e-8\ndelta_star = nan",
+     ("delta_star=nan",)),
+    ("classify", "family = nnn", "family = calogero_moser\na = 4.0\ndelta_star = 2.0",
+     ("delta_star=2.0", "(0, 1)")),
 ])
 def test_out_of_range_value_rejected(tmp_path, capsys, command, old, new, words):
     cfg = _write(tmp_path)

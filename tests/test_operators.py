@@ -643,18 +643,24 @@ def test_cubic_sums_every_range(request, grid, rng, fam, eps):
     assert err <= 1e-14 * scale * np.max(np.abs(ref_shifted))
 
 
-def test_table_cubic_sums_every_range(grid, rng):
-    # a table's psi' callables have no degree form: its ranges past 16 stay
-    # one by one up to M
-    m = np.arange(1, 65, dtype=float)
-    psi = [lambda eta, g=g: g * eta ** 3 for g in m ** -5.0]
-    spec = lw.PotentialSpec.finite_range(alpha=m ** -6.5, beta=-m ** -4.0,
-                                         psi_prime=psi)
-    ctx = lw.LongWaveOperators(lw.certify_type1(lw.build_model(spec)), grid, 0.2)
-    w = random_band_limited(grid, rng, modes=400, even=True)
-    w = lw.Field(grid, 0.05 * w.values + 0.02)
-    ref = _full_grid_cubic(ctx, w)
-    assert np.max(np.abs(ctx.cubic(w).values - ref)) <= 1e-14 * np.max(np.abs(ref))
+@pytest.mark.parametrize("spec", [lambda: lw.PotentialSpec.nnn(1.0),
+                                  lw.PotentialSpec.classical_fput, _far_table],
+                         ids=["nnn1", "fput", "far_table"])
+def test_table_cubic_is_zero(grid, rng, monkeypatch, spec):
+    # a table's force laws are alpha eta + beta eta^2: P_eps is zero to
+    # the last bit, on W0 as on any even field, and costs no transform
+    ctx = lw.LongWaveOperators(lw.certify_type1(lw.build_model(spec())), grid, 0.2)
+    w = 0.05 * random_band_limited(grid, rng, modes=400, even=True)
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, fn=fn, name=name, **kw: calls.append(name) or fn(*a, **kw))
+    for field in (ctx.background, w):
+        out = ctx.cubic(field)
+        assert np.array_equal(out.values, np.zeros(grid.N))
+        assert not np.signbit(out.values).any()
+    assert calls == []
 
 
 def test_far_domain_error_names_the_bound(prof_cm4, grid, rng):

@@ -393,14 +393,6 @@ def _gather_energy(state):
             + float(np.sum(state.model.pair_energy(m.astype(float), eta))))
 
 
-def _cubic_table():
-    # a finite-range family whose remainders are user callables
-    return lw.build_model(lw.PotentialSpec.finite_range(
-        [1.0, 0.4, 0.1], [1.0, -0.3, 0.05], gamma=[0.5, 0.2, 0.1],
-        psi_prime=[lambda e: 0.5 * e ** 3, lambda e: -0.2 * e ** 3,
-                   lambda e: 0.1 * e ** 3]))
-
-
 @pytest.fixture(params=["direct", "fft"])
 def force_path(request, monkeypatch):
     """Run force and total_energy on one path whatever the range."""
@@ -420,20 +412,16 @@ def _wave_like_state(model, J, m_force, rng):
 class TestForcePaths:
     @pytest.mark.parametrize("model_name, m_force", [
         ("cm4", 1), ("cm4", 8), ("cm4", 64), ("cm4", 200),
-        ("cm35", 64), ("nnn1", 2), ("nnn1", 3), ("nnn1", 6), ("cubic_table", 3)])
+        ("cm35", 64), ("nnn1", 2), ("nnn1", 3), ("nnn1", 6)])
     def test_against_gather(self, request, force_path, model_name, m_force, rng):
-        model = (_cubic_table() if model_name == "cubic_table"
-                 else request.getfixturevalue(model_name))
-        st = _wave_like_state(model, 256, m_force, rng)
+        st = _wave_like_state(request.getfixturevalue(model_name), 256, m_force, rng)
         ref = _gather_force(st)
         f = lw.force(st)
         assert np.max(np.abs(f - ref)) <= 1e-11 * np.max(np.abs(ref))
         e_ref = _gather_energy(st)
         assert abs(lw.total_energy(st) - e_ref) <= 1e-11 * abs(e_ref)
-        # the callables have no series, so they never take the FFT path
-        taken = "direct" if model_name == "cubic_table" else force_path
-        assert st.force_paths == {taken}
-        assert (st.series_terms > 0) == (taken == "fft")
+        assert st.force_paths == {force_path}
+        assert (st.series_terms > 0) == (force_path == "fft")
 
     @pytest.mark.parametrize("m_force", [3, 6])
     def test_table_range_past_M_adds_nothing(self, nnn1, force_path, m_force, rng):
